@@ -7,7 +7,7 @@ __version__ = "0.1.0"
 
 from .errors import NormlabError
 from .perm import Perm, commutator, conjugate, format_perm, identity, perm_from_cycles
-from .group import Group, group_from_generators, trivial_group
+from .group import Group, trivial_group
 from .subgroups import (
     Subgroup,
     center,

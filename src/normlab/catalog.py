@@ -21,7 +21,8 @@ from .perm import Perm, parse_cycles, perm_from_cycles
 from .structure import sylow_subgroup
 from .subgroups import Subgroup, subgroup
 
-__all__ = ["GroupSpec", "parse_spec", "build", "parse_group_file", "default_sweep"]
+__all__ = ["GroupSpec", "parse_spec", "build", "select_subgroup", "parse_group_file",
+           "default_sweep"]
 
 _KINDS = ("S", "A", "C", "D", "PSL2", "AGL1", "PROD", "FILE")
 
@@ -167,7 +168,8 @@ def _product(factors: tuple[GroupSpec, ...]) -> Group:
     return Group(degree, tuple(gens))
 
 
-def _apply_selector(G: Group, selector: str) -> Subgroup:
+def select_subgroup(G: Group, selector: str) -> Subgroup:
+    """The subgroup of G named by a selector (``syl:p``, ``stab:k``, ``gens:..``)."""
     kind, _, raw = selector.partition(":")
     if kind == "syl":
         try:
@@ -221,12 +223,12 @@ def build(spec: GroupSpec) -> tuple[Group, Subgroup | None]:
         with open(spec.path, "r", encoding="utf-8") as fh:
             G, sel = parse_group_file(fh.read())
         if spec.selector:
-            return G, _apply_selector(G, spec.selector)
+            return G, select_subgroup(G, spec.selector)
         return G, sel
     else:
         raise InvalidParameter(f"unknown group kind {spec.kind!r}")
     if spec.selector:
-        return G, _apply_selector(G, spec.selector)
+        return G, select_subgroup(G, spec.selector)
     return G, None
 
 

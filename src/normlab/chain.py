@@ -3,28 +3,30 @@
 Base points are chosen as the first moved points in natural order unless a
 hint is supplied. Transversal entries are never overwritten once created,
 which keeps earlier sift verdicts valid while the chain grows and makes the
-whole construction deterministic.
+whole construction deterministic. Permutations are image tuples throughout.
 """
 
 from __future__ import annotations
 
 from math import prod
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import PointOutOfRange
-from .perm import Perm, identity
+from .perm import compose_tuples, identity_tuple, inverse_tuple
 
 __all__ = ["StabilizerChain", "build_chain"]
+
+Images = tuple[int, ...]
 
 
 class _Level:
     __slots__ = ("base", "gens", "transversal", "verified_points", "verified_gens")
 
-    def __init__(self, base: int, ident: Perm):
+    def __init__(self, base: int, ident: Images):
         self.base = base
-        self.gens: list[Perm] = []
+        self.gens: list[Images] = []
         # point -> (u, u^-1) with base^u == point
-        self.transversal: dict[int, tuple[Perm, Perm]] = {base: (ident, ident)}
+        self.transversal: dict[int, tuple[Images, Images]] = {base: (ident, ident)}
         # watermark of Schreier pairs already sifted successfully
         self.verified_points = 0
         self.verified_gens = 0
@@ -46,29 +48,29 @@ def _extend_transversal(lvl: _Level) -> None:
         for pt in frontier:
             t = lvl.transversal[pt][0]
             for g in lvl.gens:
-                img = g.apply(pt)
+                img = g[pt - 1]
                 if img not in lvl.transversal:
-                    u = t * g
-                    lvl.transversal[img] = (u, u.inverse())
+                    u = compose_tuples(t, g)
+                    lvl.transversal[img] = (u, inverse_tuple(u))
                     nxt.append(img)
         frontier = nxt
 
 
-def _sift_from(levels: list[_Level], p: Perm, i: int) -> tuple[Perm, int]:
+def _sift_from(levels: list[_Level], p: Images, i: int) -> tuple[Images, int]:
     while i < len(levels):
         lvl = levels[i]
-        entry = lvl.transversal.get(p.apply(lvl.base))
+        entry = lvl.transversal.get(p[lvl.base - 1])
         if entry is None:
             return p, i
-        p = p * entry[1]
+        p = compose_tuples(p, entry[1])
         i += 1
     return p, len(levels)
 
 
-def _add_strong_generator(levels: list[_Level], ident: Perm, degree: int, r: Perm, j: int) -> None:
+def _add_strong_generator(levels: list[_Level], ident: Images, r: Images, j: int) -> None:
     # r fixes the bases of levels 0..j-1, so it is a valid generator there too
     if j == len(levels):
-        base = min(pt for pt in range(1, degree + 1) if r.apply(pt) != pt)
+        base = next(pt for pt, img in enumerate(r, 1) if img != pt)
         levels.append(_Level(base, ident))
     for m in range(j + 1):
         lvl = levels[m]
@@ -76,7 +78,7 @@ def _add_strong_generator(levels: list[_Level], ident: Perm, degree: int, r: Per
             lvl.gens.append(r)
 
 
-def _verify_level(levels: list[_Level], ident: Perm, degree: int, i: int) -> int | None:
+def _verify_level(levels: list[_Level], ident: Images, i: int) -> int | None:
     """Sift the unchecked Schreier generators of level i.
 
     Returns the deepest modified level on the first failure, or None once
@@ -95,23 +97,23 @@ def _verify_level(levels: list[_Level], ident: Perm, degree: int, i: int) -> int
             if pi < vp and gi < vg:
                 continue
             g = gens[gi]
-            img = g.apply(pt)
-            sg = t * g * lvl.transversal[img][1]
-            if sg.is_identity():
+            img = g[pt - 1]
+            sg = compose_tuples(compose_tuples(t, g), lvl.transversal[img][1])
+            if sg == ident:
                 continue
             r, j = _sift_from(levels, sg, i + 1)
-            if not r.is_identity():
-                _add_strong_generator(levels, ident, degree, r, j)
+            if r != ident:
+                _add_strong_generator(levels, ident, r, j)
                 return j
     lvl.verified_points = n_points
     lvl.verified_gens = n_gens
     return None
 
 
-def _complete(levels: list[_Level], ident: Perm, degree: int) -> None:
+def _complete(levels: list[_Level], ident: Images) -> None:
     i = len(levels) - 1
     while i >= 0:
-        stuck = _verify_level(levels, ident, degree, i)
+        stuck = _verify_level(levels, ident, i)
         i = i - 1 if stuck is None else stuck
 
 
@@ -120,7 +122,7 @@ class StabilizerChain:
 
     __slots__ = ("degree", "levels", "ident")
 
-    def __init__(self, degree: int, levels: list[_Level], ident: Perm):
+    def __init__(self, degree: int, levels: list[_Level], ident: Images):
         self.degree = degree
         self.levels = levels
         self.ident = ident
@@ -131,54 +133,51 @@ class StabilizerChain:
     def base(self) -> tuple[int, ...]:
         return tuple(lvl.base for lvl in self.levels)
 
-    def sift(self, p: Perm) -> Perm:
-        residue, _ = _sift_from(self.levels, p, 0)
-        return residue
+    def contains(self, p: Images) -> bool:
+        return _sift_from(self.levels, p, 0)[0] == self.ident
 
-    def contains(self, p: Perm) -> bool:
-        return self.sift(p).is_identity()
-
-    def stabilizer_generators(self) -> list[Perm]:
+    def stabilizer_generators(self) -> list[Images]:
         """Generators of the stabilizer of the first base point."""
         if len(self.levels) < 2:
             return []
         return list(self.levels[1].gens)
 
-    def iter_elements(self) -> Iterator[Perm]:
+    def iter_elements(self) -> Iterator[Images]:
         """Each element exactly once, as a product of transversal entries."""
         if not self.levels:
             yield self.ident
             return
 
-        def rec(idx: int, acc: Perm) -> Iterator[Perm]:
+        def rec(idx: int, acc: Images) -> Iterator[Images]:
             if idx < 0:
                 yield acc
                 return
             lvl = self.levels[idx]
             for pt in sorted(lvl.transversal):
-                yield from rec(idx - 1, acc * lvl.transversal[pt][0])
+                yield from rec(idx - 1, compose_tuples(acc, lvl.transversal[pt][0]))
 
         yield from rec(len(self.levels) - 1, self.ident)
 
-    def extended(self, new_gens: Iterable[Perm]) -> "StabilizerChain":
+    def extended(self, new_gens: Iterable[Images]) -> "StabilizerChain":
         """A new chain for the group generated by this one plus new_gens."""
         levels = [lvl.copy() for lvl in self.levels]
+        ident = self.ident
         changed = False
         for g in new_gens:
-            if g.is_identity():
+            if g == ident:
                 continue
             r, j = _sift_from(levels, g, 0)
-            if not r.is_identity():
-                _add_strong_generator(levels, self.ident, self.degree, r, j)
+            if r != ident:
+                _add_strong_generator(levels, ident, r, j)
                 changed = True
         if not changed:
             return self
-        _complete(levels, self.ident, self.degree)
-        return StabilizerChain(self.degree, levels, self.ident)
+        _complete(levels, ident)
+        return StabilizerChain(self.degree, levels, ident)
 
 
-def build_chain(degree: int, generators: Iterable[Perm], base_hint: tuple[int, ...] = ()) -> StabilizerChain:
-    ident = identity(degree)
+def build_chain(degree: int, generators: Sequence[Images], base_hint: tuple[int, ...] = ()) -> StabilizerChain:
+    ident = identity_tuple(degree)
     for b in base_hint:
         if not 1 <= b <= degree:
             raise PointOutOfRange(f"base point {b} outside 1..{degree}")
@@ -186,12 +185,12 @@ def build_chain(degree: int, generators: Iterable[Perm], base_hint: tuple[int, .
         raise PointOutOfRange("base hint points must be distinct")
     levels = [_Level(b, ident) for b in base_hint]
     for g in generators:
-        if g.is_identity():
+        if g == ident:
             continue
         r, j = _sift_from(levels, g, 0)
-        if not r.is_identity():
-            _add_strong_generator(levels, ident, degree, r, j)
-    _complete(levels, ident, degree)
+        if r != ident:
+            _add_strong_generator(levels, ident, r, j)
+    _complete(levels, ident)
     chain = StabilizerChain(degree, levels, ident)
     assert all(chain.contains(g) for g in generators)
     return chain

@@ -15,10 +15,10 @@ import time
 from dataclasses import replace
 
 from . import __version__
-from .catalog import GroupSpec, build, default_sweep, parse_spec
+from .catalog import build, default_sweep, parse_spec, select_subgroup
 from .errors import NormlabError, OrderTooLarge, UnknownTheorem
-from .limits import limits_from_env, set_limits
-from .scan import THEOREM_NAMES, scan
+from .limits import limits_from_env, parse_enum_bound, set_limits
+from .scan import THEOREM_NAMES, VERIFIERS, scan
 from .structure import (
     fitting_length,
     fitting_subgroup,
@@ -26,7 +26,6 @@ from .structure import (
     is_solvable,
 )
 from .subgroups import (
-    Subgroup,
     center,
     fingerprint,
     is_simple,
@@ -37,12 +36,7 @@ from .theorems import (
     MODES,
     frobenius_decomposition,
     is_frobenius_product,
-    maximal_normalizer_context,
     verify_burnside_complement,
-    verify_comp22,
-    verify_hall_lemma,
-    verify_rem23,
-    verify_simp,
     verify_thompson,
 )
 from .verdict import STATUS_COUNTEREXAMPLE, STATUS_SKIPPED, VerdictReport
@@ -52,20 +46,22 @@ EXIT_USAGE = 2
 EXIT_COUNTEREXAMPLE = 3
 EXIT_SKIPPED = 4
 
-VERIFY_THEOREMS = ("comp22", "hall", "rem23", "simp", "thompson", "burnside")
+VERIFY_THEOREMS = THEOREM_NAMES + ("thompson", "burnside")
 
 
 def report_document(invocation: list[str], reports: list[VerdictReport], summary: dict,
                     elapsed_s: float, analysis: dict | None = None) -> dict:
-    status_counts = {}
-    for r in reports:
-        status_counts[r.status] = status_counts.get(r.status, 0) + 1
+    if not summary:
+        status_counts: dict[str, int] = {}
+        for r in reports:
+            status_counts[r.status] = status_counts.get(r.status, 0) + 1
+        summary = {"status_counts": status_counts}
     doc = {
         "tool": "normlab",
         "version": __version__,
         "invocation": list(invocation),
         "reports": [r.to_dict() for r in reports],
-        "summary": summary if summary else {"status_counts": status_counts},
+        "summary": summary,
         "elapsed_s": elapsed_s,
     }
     if analysis is not None:
@@ -105,12 +101,6 @@ def _emit(doc: dict, fmt: str, out_path: str | None, human_text: str) -> None:
         print(human_text)
 
 
-def _build_pair(args) -> tuple[GroupSpec, object, Subgroup | None]:
-    spec = parse_spec(args.group, selector=getattr(args, "subgroup", "") or "")
-    G, H = build(spec)
-    return spec, G, H
-
-
 def _exit_code_for(reports: list[VerdictReport]) -> int:
     if any(r.status == STATUS_COUNTEREXAMPLE for r in reports):
         return EXIT_COUNTEREXAMPLE
@@ -124,7 +114,8 @@ def _exit_code_for(reports: list[VerdictReport]) -> int:
 
 def cmd_analyze(args) -> int:
     started = time.perf_counter()
-    spec, G, H = _build_pair(args)
+    spec = parse_spec(args.group, selector=args.subgroup)
+    G, H = build(spec)
     analysis: dict = {"group": str(spec), "order": G.order(), "degree": G.degree}
     solvable = is_solvable(G)
     analysis["solvable"] = solvable
@@ -188,20 +179,17 @@ def cmd_verify(args) -> int:
     if theorem not in VERIFY_THEOREMS:
         raise UnknownTheorem(f"unknown theorem {theorem!r}; pick from {', '.join(VERIFY_THEOREMS)}")
     mode = _parse_mode(args.mode) if args.mode else MODE_FIT_NORMAL
-    spec, G, H = _build_pair(args)
-    if H is None:
+    spec = parse_spec(args.group)
+    G, H = build(spec)
+    if H is None and not args.subgroup:
         raise NormlabError("this theorem needs --subgroup")
 
     try:
-        if theorem in ("comp22", "hall", "rem23", "simp"):
-            ctx = maximal_normalizer_context(G, H)
-            fn = {
-                "comp22": verify_comp22,
-                "hall": verify_hall_lemma,
-                "rem23": verify_rem23,
-                "simp": verify_simp,
-            }[theorem]
-            report = fn(G, H, mode, ctx)
+        # selecting can hit a bound too (a Sylow search enumerates G)
+        if args.subgroup:
+            H = select_subgroup(G, args.subgroup)
+        if theorem in VERIFIERS:
+            report = VERIFIERS[theorem](G, H, mode)
         elif theorem == "thompson":
             # the acted-on group is the Fitting subgroup; the actor is the
             # selected subgroup
@@ -264,14 +252,7 @@ def cmd_scan(args) -> int:
         f"{summary['pairs_scanned']} pair(s), {summary['maximal_normalizer_hits']} hit(s); "
         f"statuses {summary['status_counts']}; report written to {out_path}"
     )
-    if summary["status_counts"].get(STATUS_COUNTEREXAMPLE, 0):
-        return EXIT_COUNTEREXAMPLE
-    relevant = [r for r in reports if r.theorem != "scan"]
-    if reports and not relevant:
-        return EXIT_SKIPPED
-    if relevant and all(r.status == STATUS_SKIPPED for r in relevant):
-        return EXIT_SKIPPED
-    return EXIT_OK
+    return _exit_code_for(reports)
 
 
 # -- argument parsing --------------------------------------------------------------
@@ -288,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--format", choices=("human", "json"), default="human")
         p.add_argument("--out", help="write the JSON report document to this path")
-        p.add_argument("--enum-bound", type=int, default=None,
+        p.add_argument("--enum-bound", default=None,
                        help="max group order for element enumeration")
 
     p_an = sub.add_parser("analyze", help="structural invariants of one group")
@@ -325,11 +306,11 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    limits = limits_from_env()
-    if getattr(args, "enum_bound", None):
-        limits = replace(limits, enum_bound=args.enum_bound)
-    set_limits(limits)
     try:
+        limits = limits_from_env()
+        if args.enum_bound is not None:
+            limits = replace(limits, enum_bound=parse_enum_bound(args.enum_bound, "--enum-bound"))
+        set_limits(limits)
         return args.func(args)
     except NormlabError as exc:
         print(f"error: {exc}", file=sys.stderr)

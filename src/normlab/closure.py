@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .perm import _t_compose, _t_conjugate
+from .perm import compose_tuples, identity_tuple
 
-__all__ = ["mulclose", "dimino_extend", "conjugate_set"]
+__all__ = ["mulclose", "dimino_extend"]
 
 
 def mulclose(degree: int, gens: Iterable[tuple[int, ...]], cap: int | None = None):
@@ -18,7 +18,7 @@ def mulclose(degree: int, gens: Iterable[tuple[int, ...]], cap: int | None = Non
 
     Returns the element set, or None if a cap was given and exceeded.
     """
-    ident = tuple(range(1, degree + 1))
+    ident = identity_tuple(degree)
     gens = [g for g in gens if g != ident]
     els: set[tuple[int, ...]] = {ident}
     els.update(gens)
@@ -27,7 +27,7 @@ def mulclose(degree: int, gens: Iterable[tuple[int, ...]], cap: int | None = Non
         nxt = []
         for x in frontier:
             for g in gens:
-                y = _t_compose(x, g)
+                y = compose_tuples(x, g)
                 if y not in els:
                     els.add(y)
                     if cap is not None and len(els) > cap:
@@ -54,20 +54,15 @@ def dimino_extend(
     base_list = list(base_set)
     els: set[tuple[int, ...]] = set(base_list)
     degree = len(base_list[0]) if base_list else 0
-    ident = tuple(range(1, degree + 1))
-    frontier = [ident]
+    frontier = [identity_tuple(degree)]
     walk_gens = gens + [g for g in new_gens if g not in gens]
     while frontier:
         r = frontier.pop()
         for s in walk_gens:
-            t = _t_compose(r, s)
+            t = compose_tuples(r, s)
             if t not in els:
-                els.update(_t_compose(x, t) for x in base_list)
+                els.update(compose_tuples(x, t) for x in base_list)
                 if cap is not None and len(els) > cap:
                     return full_set
                 frontier.append(t)
     return els
-
-
-def conjugate_set(elems: Iterable[tuple[int, ...]], g: tuple[int, ...]) -> frozenset:
-    return frozenset(_t_conjugate(x, g) for x in elems)

@@ -14,31 +14,42 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .chain import StabilizerChain, build_chain
 from .errors import DegreeMismatch, EmptyDegree, OrderTooLarge, PointOutOfRange
 from .limits import get_limits
-from .perm import Perm, _t_conjugate
+from .perm import Perm, conjugate_tuple, identity_tuple
 
-__all__ = ["Group", "group_from_generators", "trivial_group"]
+__all__ = ["Group", "trivial_group"]
 
 
 class Group:
-    """A finite permutation group on the points 1..degree."""
+    """A finite permutation group on the points 1..degree.
 
-    __slots__ = ("degree", "generators", "_chain", "_stab_chains", "_lock", "_cache")
+    Generators are kept as image tuples (``generator_tuples``); the public
+    ``generators`` wraps them as ``Perm`` objects.
+    """
+
+    __slots__ = ("degree", "generator_tuples", "_chain", "_stab_chains", "_lock", "_cache")
 
     def __init__(self, degree: int, generators: Sequence[Perm]):
         if degree < 1:
             raise EmptyDegree("group degree must be >= 1")
-        gens = tuple(generators)
+        gens = tuple(g.images for g in generators)
         for g in gens:
-            if g.degree != degree:
+            if len(g) != degree:
                 raise DegreeMismatch(
-                    f"generator of degree {g.degree} in group of degree {degree}"
+                    f"generator of degree {len(g)} in group of degree {degree}"
                 )
         self.degree = degree
-        self.generators = gens
+        self.generator_tuples = gens
         self._chain: StabilizerChain | None = None
         self._stab_chains: dict[int, StabilizerChain] = {}
         self._lock = threading.Lock()
         self._cache: dict = {}
+
+    @classmethod
+    def from_generator_tuples(cls, degree: int, gens: Iterable[tuple[int, ...]]) -> Group:
+        """The group generated by the given image tuples of this degree."""
+        group = cls(degree, ())
+        group.generator_tuples = tuple(gens)
+        return group
 
     # -- chain plumbing ----------------------------------------------------
 
@@ -49,13 +60,13 @@ class Group:
             with self._lock:
                 chain = self._chain
                 if chain is None:
-                    chain = build_chain(self.degree, self.generators)
+                    chain = build_chain(self.degree, self.generator_tuples)
                     self._chain = chain
         return chain
 
     def chain_with_base(self, base_hint: tuple[int, ...]) -> StabilizerChain:
         """A fresh chain whose base starts with the given points."""
-        return build_chain(self.degree, self.generators, base_hint=base_hint)
+        return build_chain(self.degree, self.generator_tuples, base_hint=base_hint)
 
     def cached(self, key, thunk: Callable):
         try:
@@ -66,6 +77,10 @@ class Group:
             return value
 
     # -- core queries --------------------------------------------------------
+
+    @property
+    def generators(self) -> tuple[Perm, ...]:
+        return tuple(Perm(t, _checked=True) for t in self.generator_tuples)
 
     def order(self) -> int:
         cached = self._cache.get("order")
@@ -80,16 +95,19 @@ class Group:
             raise DegreeMismatch(
                 f"element of degree {p.degree} vs group of degree {self.degree}"
             )
+        return self.contains_tuple(p.images)
+
+    def contains_tuple(self, t: tuple[int, ...]) -> bool:
         elems = self._cache.get("elements")
         if elems is not None:
-            return p.images in elems
-        return self.chain.contains(p)
+            return t in elems
+        return self.chain.contains(t)
 
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
 
     def is_trivial(self) -> bool:
-        return all(g.is_identity() for g in self.generators)
+        return set(self.generator_tuples) <= {identity_tuple(self.degree)}
 
     def elements(self, limit: int | None = None) -> Iterator[Perm]:
         """Every element exactly once, in sorted image-tuple order."""
@@ -104,7 +122,7 @@ class Group:
         bound = limit if limit is not None else get_limits().enum_bound
         if self.order() > bound:
             raise OrderTooLarge(f"group order {self.order()} exceeds bound {bound}")
-        elems = frozenset(p.images for p in self.chain.iter_elements())
+        elems = frozenset(self.chain.iter_elements())
         self._cache["elements"] = elems
         return elems
 
@@ -120,8 +138,8 @@ class Group:
         while frontier:
             nxt = []
             for pt in frontier:
-                for g in self.generators:
-                    img = g.apply(pt)
+                for g in self.generator_tuples:
+                    img = g[pt - 1]
                     if img not in seen:
                         seen.add(img)
                         nxt.append(img)
@@ -139,13 +157,13 @@ class Group:
         if chain is None:
             chain = self.chain_with_base((point,))
             self._stab_chains[point] = chain
-        return Group(self.degree, chain.stabilizer_generators())
+        return Group.from_generator_tuples(self.degree, chain.stabilizer_generators())
 
     def conjugacy_class_reps(self) -> list[Perm]:
         """One representative per conjugacy class, smallest tuple first."""
 
         def compute():
-            gens = [g.images for g in self.generators]
+            gens = self.generator_tuples
             seen: set[tuple[int, ...]] = set()
             reps: list[Perm] = []
             for t in sorted(self.element_tuples()):
@@ -158,7 +176,7 @@ class Group:
                     nxt = []
                     for x in frontier:
                         for g in gens:
-                            y = _t_conjugate(x, g)
+                            y = conjugate_tuple(x, g)
                             if y not in seen:
                                 seen.add(y)
                                 nxt.append(y)
@@ -175,7 +193,7 @@ class Group:
         elem_set = frozenset(elems)
         gens, closed = _canonical_generators(degree, elem_set)
         assert len(closed) == len(elem_set)
-        group = cls(degree, gens)
+        group = cls.from_generator_tuples(degree, gens)
         group._cache["elements"] = elem_set
         group._cache["order"] = len(elem_set)
         return group
@@ -185,7 +203,7 @@ class Group:
 
         def compute():
             gens, _ = _canonical_generators(self.degree, self.element_tuples())
-            return gens
+            return tuple(Perm(t, _checked=True) for t in gens)
 
         return self.cached("canonical_gens", compute)
 
@@ -198,11 +216,10 @@ class Group:
 
 def _canonical_generators(
     degree: int, elem_set: frozenset[tuple[int, ...]]
-) -> tuple[tuple[Perm, ...], set[tuple[int, ...]]]:
+) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     from .closure import dimino_extend  # local import to avoid a cycle
 
-    ident = tuple(range(1, degree + 1))
-    closed: set[tuple[int, ...]] = {ident}
+    closed: set[tuple[int, ...]] = {identity_tuple(degree)}
     gens: list[tuple[int, ...]] = []
     for t in sorted(elem_set):
         if t in closed:
@@ -211,12 +228,7 @@ def _canonical_generators(
         closed = dimino_extend(closed, gens, [t])
         if len(closed) == len(elem_set):
             break
-    return tuple(Perm(t, _checked=True) for t in gens), closed
-
-
-def group_from_generators(degree: int, gens: Sequence[Perm]) -> Group:
-    """Group generated by the given permutations of a shared degree."""
-    return Group(degree, gens)
+    return gens, closed
 
 
 def trivial_group(degree: int) -> Group:

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+
+from .errors import InvalidParameter
 
 ENUM_BOUND_ENV = "NORMLAB_ENUM_BOUND"
 
@@ -35,15 +37,23 @@ def set_limits(limits: Limits) -> None:
     _active = limits
 
 
+def parse_enum_bound(raw: str, source: str) -> int:
+    """An enumeration bound given as text; InvalidParameter unless it is an
+    integer >= 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise InvalidParameter(f"{source} must be an integer >= 1, got {raw!r}")
+    return value
+
+
 def limits_from_env() -> Limits:
-    base = Limits()
     raw = os.environ.get(ENUM_BOUND_ENV)
-    if raw:
-        try:
-            base = replace(base, enum_bound=int(raw))
-        except ValueError:
-            pass
-    return base
+    if not raw:
+        return Limits()
+    return Limits(enum_bound=parse_enum_bound(raw, ENUM_BOUND_ENV))
 
 
 @contextmanager

@@ -2,6 +2,11 @@
 
 Convention used everywhere in this package: points are written on the
 right and products apply left to right, so ``(a * b)(i) == b(a(i))``.
+
+Inside the package a permutation is the tuple of images of 1..n (the
+``images`` of a ``Perm``); the ``*_tuple``/``*_tuples`` functions below are
+the only arithmetic on that form. ``Perm`` wraps one such tuple for the
+public API.
 """
 
 from __future__ import annotations
@@ -19,27 +24,65 @@ __all__ = [
     "format_perm",
     "conjugate",
     "commutator",
+    "identity_tuple",
+    "compose_tuples",
+    "inverse_tuple",
+    "conjugate_tuple",
+    "power_tuple",
+    "order_of_tuple",
 ]
 
 
-def _t_compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    # raw-tuple product, left to right: apply a, then b
-    return tuple(b[x - 1] for x in a)
+def identity_tuple(degree: int) -> tuple[int, ...]:
+    return tuple(range(1, degree + 1))
 
 
-def _t_inverse(a: tuple[int, ...]) -> tuple[int, ...]:
+def compose_tuples(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a * b: apply a, then b."""
+    return tuple([b[x - 1] for x in a])
+
+
+def inverse_tuple(a: tuple[int, ...]) -> tuple[int, ...]:
     inv = [0] * len(a)
     for i, x in enumerate(a):
         inv[x - 1] = i + 1
     return tuple(inv)
 
 
-def _t_conjugate(h: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # g^-1 * h * g without building the intermediate inverse
+def conjugate_tuple(h: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """g^-1 * h * g, without building the intermediate inverse."""
     out = [0] * len(h)
     for i, gi in enumerate(g):
         out[gi - 1] = g[h[i] - 1]
     return tuple(out)
+
+
+def power_tuple(a: tuple[int, ...], n: int) -> tuple[int, ...]:
+    if n < 0:
+        a, n = inverse_tuple(a), -n
+    result = identity_tuple(len(a))
+    while n:
+        if n & 1:
+            result = compose_tuples(result, a)
+        a = compose_tuples(a, a)
+        n >>= 1
+    return result
+
+
+def order_of_tuple(a: tuple[int, ...]) -> int:
+    """The lcm of the cycle lengths."""
+    seen = [False] * len(a)
+    lengths = []
+    for start in range(len(a)):
+        length = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            i = a[i] - 1
+            length += 1
+        if length > 1:
+            lengths.append(length)
+    return lcm(*lengths)
 
 
 class Perm:
@@ -69,29 +112,19 @@ class Perm:
             raise DegreeMismatch(
                 f"cannot compose degree {len(self.images)} with degree {len(other.images)}"
             )
-        return Perm(_t_compose(self.images, other.images), _checked=True)
+        return Perm(compose_tuples(self.images, other.images), _checked=True)
 
     def inverse(self) -> Perm:
-        return Perm(_t_inverse(self.images), _checked=True)
+        return Perm(inverse_tuple(self.images), _checked=True)
 
     def __pow__(self, n: int) -> Perm:
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = identity(len(self.images))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return Perm(power_tuple(self.images, n), _checked=True)
 
     def is_identity(self) -> bool:
         return all(x == i + 1 for i, x in enumerate(self.images))
 
     def order(self) -> int:
-        cycles = self.cycles()
-        return lcm(*(len(c) for c in cycles)) if cycles else 1
+        return order_of_tuple(self.images)
 
     def moved_points(self) -> list[int]:
         return [i + 1 for i, x in enumerate(self.images) if x != i + 1]
@@ -132,7 +165,7 @@ class Perm:
 def identity(degree: int) -> Perm:
     if degree < 1:
         raise EmptyDegree("degree must be >= 1")
-    return Perm(tuple(range(1, degree + 1)), _checked=True)
+    return Perm(identity_tuple(degree), _checked=True)
 
 
 def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
@@ -187,7 +220,7 @@ def conjugate(h: Perm, g: Perm) -> Perm:
     """The conjugate of h by g under the right action: g^-1 * h * g."""
     if h.degree != g.degree:
         raise DegreeMismatch("conjugation requires equal degrees")
-    return Perm(_t_conjugate(h.images, g.images), _checked=True)
+    return Perm(conjugate_tuple(h.images, g.images), _checked=True)
 
 
 def commutator(x: Perm, y: Perm) -> Perm:

@@ -14,7 +14,8 @@ from .arith import is_prime, p_part, primes_dividing
 from .catalog import GroupSpec, build, parse_spec
 from .errors import NormlabError, OrderTooLarge
 from .group import Group
-from .limits import Limits, get_limits, set_limits
+from .limits import get_limits, set_limits
+from .perm import compose_tuples
 from .structure import (
     fitting_length,
     is_nilpotent,
@@ -163,7 +164,9 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
         P = sylow_subgroup(G, p)
         N = normalizer(G, P)
         central = all(
-            (pg * ng) == (ng * pg) for pg in P.generators for ng in N.generators
+            compose_tuples(pg, ng) == compose_tuples(ng, pg)
+            for pg in P.carrier.generator_tuples
+            for ng in N.carrier.generator_tuples
         )
         if not central:
             checks.append(Check(f"p={p}", True, "Sylow not central in its normalizer"))
@@ -282,7 +285,7 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
 
 def _scan_worker(args) -> tuple[list[dict], dict]:
     spec_str, theorems, modes, intro, limits = args
-    set_limits(Limits(*limits))
+    set_limits(limits)
     reports, stats = scan_group(parse_spec(spec_str), theorems, modes, intro)
     return [r.to_dict() for r in reports], stats
 
@@ -328,12 +331,7 @@ def scan(
             for k in totals:
                 totals[k] += stats.get(k, 0)
     else:
-        lim = get_limits()
-        args = [
-            (str(spec), theorems, modes, intro,
-             (lim.enum_bound, lim.subgroup_bound, lim.index_bound, lim.intro_bound))
-            for spec in selected
-        ]
+        args = [(str(spec), theorems, modes, intro, get_limits()) for spec in selected]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             for dicts, stats in pool.map(_scan_worker, args):
                 all_reports.extend(VerdictReport.from_dict(d) for d in dicts)

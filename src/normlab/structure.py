@@ -10,7 +10,7 @@ from math import gcd
 from typing import Callable
 
 from .arith import is_prime, is_prime_power, p_part, p_valuation, primes_dividing
-from .closure import mulclose
+from .chain import build_chain
 from .errors import (
     IndexTooLarge,
     InvalidPrime,
@@ -22,7 +22,15 @@ from .errors import (
 )
 from .group import Group, trivial_group
 from .limits import get_limits
-from .perm import Perm, commutator, _t_compose
+from .perm import (
+    Perm,
+    compose_tuples,
+    conjugate_tuple,
+    identity_tuple,
+    inverse_tuple,
+    order_of_tuple,
+    power_tuple,
+)
 from .subgroups import (
     Subgroup,
     _check_ambient,
@@ -32,7 +40,6 @@ from .subgroups import (
     join,
     normal_closure,
     normalizer,
-    subgroup,
     trivial_subgroup,
     whole,
 )
@@ -58,11 +65,6 @@ __all__ = [
     "is_generalized_quaternion",
 ]
 
-# full-commutator element sets are cheap below this order; larger groups go
-# through generator commutators plus normal closure
-_COMMUTATOR_SET_MAX = 360
-
-
 @dataclass
 class SeriesReport:
     """A descending subgroup series; terminated means it reached the trivial group."""
@@ -73,29 +75,15 @@ class SeriesReport:
 
 
 def _commutator_subgroup(G: Group, H: Group, inside: Group) -> Group:
-    """[G, H] as a subgroup of `inside` (which must contain it and normalize it)."""
-    if G.order() <= _COMMUTATOR_SET_MAX and H.order() <= _COMMUTATOR_SET_MAX:
-        gt = G.element_tuples()
-        ht = H.element_tuples()
-        from .perm import _t_inverse
-
-        comms = set()
-        for x in gt:
-            xi = _t_inverse(x)
-            for y in ht:
-                # x^-1 * y^-1 * x * y
-                comms.add(_t_compose(_t_compose(xi, _t_inverse(y)), _t_compose(x, y)))
-        closed = mulclose(G.degree, comms)
-        return Group.from_element_tuples(G.degree, closed)
-    gens = []
-    for x in G.generators:
-        for y in H.generators:
-            c = commutator(x, y)
-            if not c.is_identity():
-                gens.append(c)
-    if not gens:
-        return trivial_group(G.degree)
-    return normal_closure(inside, subgroup(inside, gens, check=False)).carrier
+    """[G, H] as a subgroup of `inside` (which must contain it and normalize
+    it): the normal closure of the commutators of the generators."""
+    gens = [  # x^-1 * y^-1 * x * y
+        compose_tuples(inverse_tuple(x), conjugate_tuple(x, y))
+        for x in G.generator_tuples
+        for y in H.generator_tuples
+    ]
+    comms = Subgroup(inside, Group.from_generator_tuples(G.degree, gens))
+    return normal_closure(inside, comms).carrier
 
 
 def derived_series(G: Group) -> SeriesReport:
@@ -154,9 +142,9 @@ def nilpotency_class(G: Group) -> int:
 
 
 def is_abelian(G: Group) -> bool:
-    gens = G.generators
+    gens = G.generator_tuples
     return all(
-        (gens[i] * gens[j]) == (gens[j] * gens[i])
+        compose_tuples(gens[i], gens[j]) == compose_tuples(gens[j], gens[i])
         for i in range(len(gens))
         for j in range(i + 1, len(gens))
     )
@@ -218,14 +206,14 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
         if target == 1:
             return trivial_subgroup(G)
         seed = None
-        for x in G.elements():
-            m = x.order()
+        for x in sorted(G.element_tuples()):
+            m = order_of_tuple(x)
             v = p_valuation(m, p)
             if v:
-                seed = x ** (m // p**v)
+                seed = power_tuple(x, m // p**v)
                 break
         assert seed is not None
-        P = Group(G.degree, (seed,))
+        P = Group.from_generator_tuples(G.degree, (seed,))
         rounds = 0
         max_rounds = p_valuation(target, p) + 1
         while P.order() < target:
@@ -234,21 +222,21 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
                 raise AssertionError("Sylow growth failed to terminate")
             N = normalizer(G, Subgroup(G, P)).carrier
             z = None
-            for y in N.elements():
-                m = y.order()
+            for y in sorted(N.element_tuples()):
+                m = order_of_tuple(y)
                 v = p_valuation(m, p)
                 if v == 0:
                     continue
-                yp = y ** (m // p**v)
-                if not P.contains(yp):
+                yp = power_tuple(y, m // p**v)
+                if not P.contains_tuple(yp):
                     z = yp
                     break
             assert z is not None, "normalizer of a non-Sylow p-subgroup must grow it"
             # reduce z so that z^p lands in P (image of order exactly p)
             w = z
-            while not P.contains(w**p):
-                w = w**p
-            P = Group(G.degree, P.generators + (w,))
+            while not P.contains_tuple(power_tuple(w, p)):
+                w = power_tuple(w, p)
+            P = Group.from_generator_tuples(G.degree, P.generator_tuples + (w,))
         return Subgroup(G, P)
 
     return G.cached(("sylow", p), compute)
@@ -274,16 +262,16 @@ class QuotientGroup:
     source: Group
     modulus: Subgroup
     image: Group
-    _project: Callable[[Perm], Perm] = field(repr=False)
+    _project: Callable[[tuple[int, ...]], tuple[int, ...]] = field(repr=False)
 
     def project(self, p: Perm) -> Perm:
         """Image of a source element."""
-        return self._project(p)
+        return Perm(self._project(p.images), _checked=True)
 
     def project_subgroup(self, S: Subgroup) -> Subgroup:
         """Image of a subgroup of the source, via its generators."""
-        gens = [self._project(g) for g in S.generators]
-        return subgroup(self.image, gens, check=False)
+        gens = [self._project(g) for g in S.carrier.generator_tuples]
+        return Subgroup(self.image, Group.from_generator_tuples(self.image.degree, gens))
 
 
 def quotient(G: Group, N: Subgroup) -> QuotientGroup:
@@ -299,28 +287,27 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     n_order = N.order()
     index = G.order() // n_order
     if n_order == 1:
-        return QuotientGroup(G, N, G, lambda p: p)
+        return QuotientGroup(G, N, G, lambda t: t)
     if index == 1:
-        ident1 = Perm((1,), _checked=True)
-        return QuotientGroup(G, N, trivial_group(1), lambda p: ident1)
+        return QuotientGroup(G, N, trivial_group(1), lambda t: (1,))
     if index > get_limits().index_bound:
         raise IndexTooLarge(f"coset action degree {index} exceeds bound")
 
     n_sorted = sorted(N.carrier.element_tuples())
 
     def coset_key(t: tuple[int, ...]) -> tuple[int, ...]:
-        return min(_t_compose(x, t) for x in n_sorted)
+        return min(compose_tuples(x, t) for x in n_sorted)
 
-    ident = tuple(range(1, G.degree + 1))
+    ident = identity_tuple(G.degree)
     reps: list[tuple[int, ...]] = [ident]
     index_of: dict[tuple[int, ...], int] = {coset_key(ident): 0}
-    gen_tuples = [g.images for g in G.generators]
+    gen_tuples = G.generator_tuples
     edges: dict[tuple[int, int], int] = {}
     qi = 0
     while qi < len(reps):
         r = reps[qi]
         for gi, g in enumerate(gen_tuples):
-            t = _t_compose(r, g)
+            t = compose_tuples(r, g)
             key = coset_key(t)
             j = index_of.get(key)
             if j is None:
@@ -332,14 +319,12 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     assert len(reps) == index
 
     image_gens = [
-        Perm(tuple(edges[(i, gi)] + 1 for i in range(index)), _checked=True)
-        for gi in range(len(gen_tuples))
+        tuple(edges[(i, gi)] + 1 for i in range(index)) for gi in range(len(gen_tuples))
     ]
-    image = Group(index, image_gens)
+    image = Group.from_generator_tuples(index, image_gens)
 
-    def project(p: Perm) -> Perm:
-        images = tuple(index_of[coset_key(_t_compose(r, p.images))] + 1 for r in reps)
-        return Perm(images, _checked=True)
+    def project(t: tuple[int, ...]) -> tuple[int, ...]:
+        return tuple(index_of[coset_key(compose_tuples(r, t))] + 1 for r in reps)
 
     return QuotientGroup(G, N, image, project)
 
@@ -358,27 +343,17 @@ def is_p_nilpotent(G: Group, p: int) -> bool:
         raise InvalidPrime(f"{p} is not prime")
 
     def compute():
-        from .chain import build_chain
-
-        chain = None
-        gens: list[Perm] = []
-        for g in G.elements():
-            m = g.order()
-            part = g ** p_part(m, p)
-            if part.is_identity():
-                continue
-            if chain is None:
-                gens = [part]
-                chain = build_chain(G.degree, gens)
-            elif not chain.contains(part):
+        chain = build_chain(G.degree, ())
+        gens: list[tuple[int, ...]] = []
+        for g in G.element_tuples():
+            part = power_tuple(g, p_part(order_of_tuple(g), p))
+            if not chain.contains(part):
                 gens.append(part)
                 chain = chain.extended([part])
-        n_order = 1 if chain is None else chain.order()
-        N = Group(G.degree, gens)
-        if chain is not None:
-            N._chain = chain
+        N = Group.from_generator_tuples(G.degree, gens)
+        N._chain = chain
         assert is_normal(G, Subgroup(G, N))
-        return n_order % p != 0
+        return chain.order() % p != 0
 
     return G.cached(("p_nilpotent", p), compute)
 
@@ -391,18 +366,18 @@ def thompson_subgroup(P: Group) -> Subgroup:
     def compute():
         abelians = [S for S in enumerate_subgroups(P) if is_abelian(S.carrier)]
         best = max(S.order() for S in abelians)
-        gens: list[Perm] = []
+        gens: list[tuple[int, ...]] = []
         for S in abelians:
             if S.order() == best:
-                gens.extend(S.generators)
-        return subgroup(P, gens, check=False)
+                gens.extend(S.carrier.generator_tuples)
+        return Subgroup(P, Group.from_generator_tuples(P.degree, gens))
 
     return P.cached("thompson", compute)
 
 
 def is_cyclic(G: Group) -> bool:
     n = G.order()
-    return any(g.order() == n for g in G.elements())
+    return any(order_of_tuple(t) == n for t in G.element_tuples())
 
 
 def is_generalized_quaternion(P: Group) -> bool:
@@ -412,5 +387,5 @@ def is_generalized_quaternion(P: Group) -> bool:
         raise NotPGroup("generalized quaternion recognition needs a 2-group")
     if n < 8 or is_abelian(P):
         return False
-    involutions = sum(1 for g in P.elements() if g.order() == 2)
+    involutions = sum(1 for t in P.element_tuples() if order_of_tuple(t) == 2)
     return involutions == 1

@@ -10,11 +10,12 @@ from __future__ import annotations
 from typing import Sequence
 
 from .arith import is_prime_power
+from .chain import build_chain
 from .closure import dimino_extend
 from .errors import AmbientMismatch, NotASubgroup, OrderTooLarge
 from .group import Group, trivial_group
 from .limits import get_limits
-from .perm import Perm, conjugate, format_perm, _t_compose, _t_conjugate, _t_inverse
+from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, inverse_tuple
 
 __all__ = [
     "Subgroup",
@@ -60,7 +61,7 @@ class Subgroup:
 
 
 def _same_group(a: Group, b: Group) -> bool:
-    return a is b or (a.degree == b.degree and a.generators == b.generators)
+    return a is b or (a.degree == b.degree and a.generator_tuples == b.generator_tuples)
 
 
 def _check_ambient(ambient: Group, *subs: Subgroup) -> None:
@@ -87,12 +88,13 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
-    return Subgroup(H.ambient, Group(H.ambient.degree, [conjugate(h, g) for h in H.generators]))
+    gens = [conjugate_tuple(h, g.images) for h in H.carrier.generator_tuples]
+    return Subgroup(H.ambient, Group.from_generator_tuples(H.ambient.degree, gens))
 
 
 def subgroup_le(A: Subgroup, B: Subgroup) -> bool:
     """True when A is contained in B (same ambient assumed)."""
-    return all(B.carrier.contains(g) for g in A.generators)
+    return all(B.carrier.contains_tuple(g) for g in A.carrier.generator_tuples)
 
 
 def subgroups_equal(A: Subgroup, B: Subgroup) -> bool:
@@ -121,11 +123,11 @@ def _subgroup_sort_key(S: Subgroup):
 def join(ambient: Group, A: Subgroup, B: Subgroup) -> Subgroup:
     """Subgroup generated by the union of the two generator sets."""
     _check_ambient(ambient, A, B)
-    gens = list(A.generators)
-    for g in B.generators:
+    gens = list(A.carrier.generator_tuples)
+    for g in B.carrier.generator_tuples:
         if g not in gens:
             gens.append(g)
-    return Subgroup(ambient, Group(ambient.degree, gens))
+    return Subgroup(ambient, Group.from_generator_tuples(ambient.degree, gens))
 
 
 def intersection(ambient: Group, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -137,39 +139,33 @@ def intersection(ambient: Group, A: Subgroup, B: Subgroup) -> Subgroup:
         raise OrderTooLarge(
             f"both intersection factors exceed the enumeration bound {bound}"
         )
-    big_set = big.carrier.element_tuples() if big.order() <= bound else None
-    common = set()
-    for t in small.carrier.element_tuples():
-        if big_set is not None:
-            ok = t in big_set
-        else:
-            ok = big.carrier.chain.contains(Perm(t, _checked=True))
-        if ok:
-            common.add(t)
+    common = {t for t in small.carrier.element_tuples() if big.carrier.contains_tuple(t)}
     return Subgroup(ambient, Group.from_element_tuples(ambient.degree, common))
 
 
 def normal_closure(ambient: Group, A: Subgroup) -> Subgroup:
-    """Smallest normal subgroup of the ambient group containing A."""
-    _check_ambient(ambient, A)
-    gens = [g for g in A.generators if not g.is_identity()]
-    if not gens:
-        return trivial_subgroup(ambient)
-    from .chain import build_chain
+    """Smallest normal subgroup of the ambient group containing A.
 
-    chain = build_chain(ambient.degree, gens)
-    queue = list(gens)
+    Generators of A and conjugates of kept generators by ambient generators
+    are queued; only those outside the chain so far are kept, so the
+    generator list stays short however many elements are queued.
+    """
+    _check_ambient(ambient, A)
+    chain = build_chain(ambient.degree, ())
+    gens: list[tuple[int, ...]] = []
+    queue = list(A.carrier.generator_tuples)
     qi = 0
     while qi < len(queue):
         h = queue[qi]
         qi += 1
-        for g in ambient.generators:
-            c = conjugate(h, g)
-            if not chain.contains(c):
-                gens.append(c)
-                queue.append(c)
-                chain = chain.extended([c])
-    carrier = Group(ambient.degree, gens)
+        if chain.contains(h):
+            continue
+        gens.append(h)
+        chain = chain.extended([h])
+        queue.extend(conjugate_tuple(h, g) for g in ambient.generator_tuples)
+    if not gens:
+        return trivial_subgroup(ambient)
+    carrier = Group.from_generator_tuples(ambient.degree, gens)
     carrier._chain = chain
     return Subgroup(ambient, carrier)
 
@@ -178,12 +174,12 @@ def core(ambient: Group, H: Subgroup) -> Subgroup:
     """Largest normal subgroup of the ambient group contained in H."""
     _check_ambient(ambient, H)
     K = set(H.carrier.element_tuples())
-    gen_invs = [_t_inverse(g.images) for g in ambient.generators]
+    gen_invs = [inverse_tuple(g) for g in ambient.generator_tuples]
     changed = True
     while changed and len(K) > 1:
         changed = False
         for ginv in gen_invs:
-            K2 = {x for x in K if _t_conjugate(x, ginv) in K}
+            K2 = {x for x in K if conjugate_tuple(x, ginv) in K}
             if len(K2) != len(K):
                 K = K2
                 changed = True
@@ -196,13 +192,14 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     bound = get_limits().enum_bound
     if ambient.order() > bound:
         raise OrderTooLarge(f"centralizer search needs order <= {bound}")
-    targets = [g.images for g in A.generators if not g.is_identity()]
+    ident = identity_tuple(ambient.degree)
+    targets = [g for g in A.carrier.generator_tuples if g != ident]
     if not targets:
         return whole(ambient)
     cent = {
         t
         for t in ambient.element_tuples()
-        if all(_t_compose(t, h) == _t_compose(h, t) for h in targets)
+        if all(compose_tuples(t, h) == compose_tuples(h, t) for h in targets)
     }
     return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent))
 
@@ -215,22 +212,18 @@ def is_normal(ambient: Group, H: Subgroup) -> bool:
     """True when conjugation by every ambient generator preserves H."""
     _check_ambient(ambient, H)
     return all(
-        H.carrier.contains(conjugate(h, g))
-        for h in H.generators
-        for g in ambient.generators
+        H.carrier.contains_tuple(conjugate_tuple(h, g))
+        for h in H.carrier.generator_tuples
+        for g in ambient.generator_tuples
     )
 
 
 # -- normalizer ---------------------------------------------------------------
 
 
-def normalizer(ambient: Group, H: Subgroup, method: str = "auto") -> Subgroup:
-    """The set of ambient elements g with H^g == H.
-
-    The default path is a pruned backtrack over the stabilizer chain;
-    method="exhaustive" filters the full element list instead (both paths
-    agree and are cross-checked in the test suite).
-    """
+def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
+    """The set of ambient elements g with H^g == H, by a pruned backtrack
+    over the stabilizer chain."""
     _check_ambient(ambient, H)
     bound = get_limits().enum_bound
     if ambient.order() > bound:
@@ -239,15 +232,6 @@ def normalizer(ambient: Group, H: Subgroup, method: str = "auto") -> Subgroup:
         return whole(ambient)
     if is_normal(ambient, H):
         return whole(ambient)
-    if method == "exhaustive":
-        H_set = H.carrier.element_tuples()
-        h_gens = [g.images for g in H.generators if not g.is_identity()]
-        elems = {
-            t
-            for t in ambient.element_tuples()
-            if all(_t_conjugate(h, t) in H_set for h in h_gens)
-        }
-        return Subgroup(ambient, Group.from_element_tuples(ambient.degree, elems))
     found = _normalizer_backtrack(ambient, H)
     return Subgroup(ambient, Group.from_element_tuples(ambient.degree, found))
 
@@ -256,13 +240,13 @@ def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
     chain = ambient.chain
     levels = chain.levels
     degree = ambient.degree
-    ident = tuple(range(1, degree + 1))
+    ident = identity_tuple(degree)
     if not levels:
         return {ident}
 
     # H-orbit structure on points: a normalizing element must map orbits to
     # orbits of equal size, injectively
-    h_gens = [g.images for g in H.generators if not g.is_identity()]
+    h_gens = [g for g in H.carrier.generator_tuples if g != ident]
     orbit_id = [0] * (degree + 1)
     orbit_sizes: list[int] = []
     assigned = [False] * (degree + 1)
@@ -289,19 +273,18 @@ def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
     found: list[tuple[int, ...]] = []
     n_levels = len(levels)
     transversals = [
-        [(pt, lvl.transversal[pt][0].images) for pt in sorted(lvl.transversal)]
-        for lvl in levels
+        [lvl.transversal[pt][0] for pt in sorted(lvl.transversal)] for lvl in levels
     ]
 
     def dfs(idx: int, m: tuple[int, ...], omap: dict[int, int], used: set[int]) -> None:
         if idx == n_levels:
-            if all(_t_conjugate(h, m) in H_set for h in h_gens):
+            if all(conjugate_tuple(h, m) in H_set for h in h_gens):
                 found.append(m)
             return
         base = levels[idx].base
         o_src = orbit_id[base]
-        for _, t in transversals[idx]:
-            m2 = _t_compose(t, m)
+        for t in transversals[idx]:
+            m2 = compose_tuples(t, m)
             o_dst = orbit_id[m2[base - 1]]
             if orbit_sizes[o_src] != orbit_sizes[o_dst]:
                 continue
@@ -342,10 +325,10 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
                 f"subgroup enumeration needs order <= {limits.subgroup_bound}"
             )
         degree = G.degree
-        ident = tuple(range(1, degree + 1))
+        ident = identity_tuple(degree)
         full = G.element_tuples()
         half_cap = n // 2
-        gen_tuples = [g.images for g in G.generators if not g.is_identity()]
+        gen_tuples = [g for g in G.generator_tuples if g != ident]
 
         subs: dict[frozenset, tuple] = {frozenset([ident]): ()}
         cyclics: list[tuple[frozenset, tuple[int, ...]]] = []
@@ -356,7 +339,7 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
             x = t
             while x != ident:
                 powers.append(x)
-                x = _t_compose(x, t)
+                x = compose_tuples(x, t)
             key = frozenset(powers)
             if key not in subs:
                 subs[key] = (t,)
@@ -372,12 +355,12 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
                 i += 1
                 k_gens = subs[k]
                 for g in gen_tuples:
-                    ck = frozenset(_t_conjugate(x, g) for x in k)
+                    ck = frozenset(conjugate_tuple(x, g) for x in k)
                     if ck not in seen:
                         seen.add(ck)
                         orbit_keys.append(ck)
                         if ck not in subs:
-                            subs[ck] = tuple(_t_conjugate(x, g) for x in k_gens)
+                            subs[ck] = tuple(conjugate_tuple(x, g) for x in k_gens)
             return min(orbit_keys, key=lambda s: tuple(sorted(s)))
 
         pending: list[frozenset] = []

@@ -16,7 +16,7 @@ from .arith import factorize, is_prime, p_part, psl2_parameter
 from .errors import DoesNotNormalize, NormlabError, OrderTooLarge
 from .group import Group
 from .limits import get_limits
-from .perm import Perm, conjugate, format_perm, _t_compose
+from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
     QuotientGroup,
     derived_series,
@@ -43,7 +43,7 @@ from .subgroups import (
     join,
     minimal_normal_subgroups,
     normalizer,
-    subgroup,
+    subgroup_le,
     subgroups_equal,
 )
 from .verdict import Check, VerdictReport
@@ -252,21 +252,24 @@ def is_frobenius_product(G: Group, K: Subgroup, H: Subgroup) -> FrobeniusProduct
     bound = get_limits().enum_bound
     if K.order() > bound or H.order() > bound:
         raise OrderTooLarge("Frobenius centralizer scan exceeds the enumeration bound")
-    k_elems = [t for t in sorted(K.carrier.element_tuples())]
-    ident = tuple(range(1, G.degree + 1))
-    for h in sorted(H.carrier.element_tuples()):
-        if h == ident:
-            continue
-        for k in k_elems:
-            if k == ident:
-                continue
-            if _t_compose(h, k) == _t_compose(k, h):
-                hw = format_perm(Perm(h, _checked=True))
-                kw = format_perm(Perm(k, _checked=True))
-                return FrobeniusProductResult(
-                    False, "fixed point", f"{hw} centralizes {kw}"
-                )
+    pair = _commuting_pair(H, K)
+    if pair is not None:
+        return FrobeniusProductResult(False, "fixed point", "{} centralizes {}".format(*pair))
     return FrobeniusProductResult(True)
+
+
+def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
+    """The first non-identity a in A and b in B (in sorted order) with ab == ba,
+    formatted, or None."""
+    ident = identity_tuple(A.carrier.degree)
+    b_elems = sorted(B.carrier.element_tuples())
+    for a in sorted(A.carrier.element_tuples()):
+        if a == ident:
+            continue
+        for b in b_elems:
+            if b != ident and compose_tuples(a, b) == compose_tuples(b, a):
+                return format_perm(Perm(a, _checked=True)), format_perm(Perm(b, _checked=True))
+    return None
 
 
 def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
@@ -311,24 +314,16 @@ def fixed_point_free(K: Subgroup, Phi: Subgroup, ambient: Group) -> tuple[bool, 
     Phi must normalize K (it acts on K by conjugation inside the ambient
     group); otherwise DoesNotNormalize is raised.
     """
-    for ph in Phi.generators:
-        for kg in K.generators:
-            if not K.carrier.contains(conjugate(kg, ph)):
+    for ph in Phi.carrier.generator_tuples:
+        for kg in K.carrier.generator_tuples:
+            if not K.carrier.contains_tuple(conjugate_tuple(kg, ph)):
                 raise DoesNotNormalize(
-                    f"{format_perm(ph)} does not normalize the acted-on subgroup"
+                    f"{format_perm(Perm(ph, _checked=True))} does not normalize"
+                    " the acted-on subgroup"
                 )
-    ident = tuple(range(1, ambient.degree + 1))
-    k_elems = sorted(K.carrier.element_tuples())
-    for ph in sorted(Phi.carrier.element_tuples()):
-        if ph == ident:
-            continue
-        for k in k_elems:
-            if k == ident:
-                continue
-            if _t_compose(ph, k) == _t_compose(k, ph):
-                pw = format_perm(Perm(ph, _checked=True))
-                kw = format_perm(Perm(k, _checked=True))
-                return False, f"{pw} fixes {kw}"
+    pair = _commuting_pair(Phi, K)
+    if pair is not None:
+        return False, "{} fixes {}".format(*pair)
     return True, ""
 
 
@@ -341,17 +336,17 @@ def is_dihedral_2group(P: Group) -> tuple[bool, bool]:
     n = P.order()
     if n < 4 or p_part(n, 2) != n:
         return False, False
-    elems = P.sorted_elements()
+    orders = {t: order_of_tuple(t) for t in P.element_tuples()}
     if n == 4:
-        if all(g.order() <= 2 for g in elems):
+        if all(m <= 2 for m in orders.values()):
             return True, True  # Klein four-group
         return False, False
-    has_index2_cyclic = any(g.order() == n // 2 for g in elems)
+    has_index2_cyclic = n // 2 in orders.values()
     if not has_index2_cyclic:
         return False, False
     from .closure import mulclose
 
-    involutions = [g.images for g in elems if g.order() == 2]
+    involutions = [t for t, m in orders.items() if m == 2]
     closed = mulclose(P.degree, involutions)
     return (len(closed) == n), False
 
@@ -538,10 +533,7 @@ def verify_rem23(
                 if U.order() == 1:
                     continue
                 NU = normalizer(G, Subgroup(G, U.carrier))
-                if (
-                    h_order < NU.order() < G.order()
-                    and all(NU.carrier.contains(g) for g in H.generators)
-                ):
+                if h_order < NU.order() < G.order() and subgroup_le(H, NU):
                     witness = {
                         "subgroup": fingerprint(Subgroup(G, U.carrier)),
                         "normalizer_order": NU.order(),
@@ -597,7 +589,7 @@ def verify_simp(
     report.conclusion_checks.append(
         Check(
             "fitting-inside-subgroup",
-            all(H.carrier.contains(g) for g in F.generators),
+            subgroup_le(F, H),
             f"Fit order {F.order()}",
         )
     )

@@ -106,3 +106,8 @@ def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
 def brute_normal_closure(ambient: set[Perm], gens: list[Perm], degree: int) -> set[Perm]:
     conjugates = [conj(h, g) for h in gens for g in ambient]
     return mulclose(conjugates, degree) if conjugates else mulclose([], degree)
+
+
+def filter_normalizer(ambient: set[Perm], H_gens: list[Perm], H: set[Perm]) -> set[Perm]:
+    """Elements g with h^g in H for every generator h of H (H finite)."""
+    return {g for g in ambient if all(conj(h, g) in H for h in H_gens)}

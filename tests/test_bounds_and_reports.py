@@ -10,8 +10,10 @@ from normlab.cli import _exit_code_for, report_document
 from normlab.errors import IndexTooLarge, OrderTooLarge
 from normlab.limits import Limits, using_limits
 from normlab.structure import p_core, quotient
-from normlab.subgroups import Subgroup, intersection, normalizer, subgroups_equal
+from normlab.subgroups import Subgroup, intersection, normalizer
 from normlab.verdict import Check, VerdictReport
+
+from oracles import filter_normalizer, mulclose
 
 
 def test_intersection_order_too_large_when_both_factors_exceed_bound():
@@ -56,17 +58,19 @@ def test_concurrent_chain_first_use_is_safe():
 
 
 def test_normalizer_two_paths_agree_on_midsize_groups():
-    # the exhaustive filter is the fallback contract; spot the agreement on
-    # groups past order 100
+    # the backtrack against a chain-free exhaustive filter; spot the
+    # agreement on groups past order 100
     from normlab.subgroups import enumerate_subgroups
 
     for name in ("S:5", "AGL1:11"):
         G, _ = build(parse_spec(name))
+        ambient = mulclose(list(G.generators), G.degree)
         subs = enumerate_subgroups(G)
         for H in subs[:: max(1, len(subs) // 25)]:
-            bt = normalizer(G, H, method="backtrack")
-            ex = normalizer(G, H, method="exhaustive")
-            assert subgroups_equal(bt, ex), (name, H.order())
+            H_gens = list(H.generators)
+            ex = filter_normalizer(ambient, H_gens, mulclose(H_gens, G.degree))
+            bt = set(normalizer(G, H).carrier.sorted_elements())
+            assert bt == ex, (name, H.order())
 
 
 def test_verdict_status_derivation():

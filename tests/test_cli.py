@@ -202,6 +202,44 @@ def test_enum_bound_env(tmp_path, capsys, monkeypatch):
     assert code == 4
 
 
+def test_enum_bound_flag_rejects_bad_values(capsys):
+    for raw in ("0", "abc"):
+        code, out, err = run_cli(
+            ["verify", "comp22", "--group", "S:5", "--subgroup", "stab:5",
+             "--enum-bound", raw],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "--enum-bound" in err and repr(raw) in err
+
+
+def test_enum_bound_env_rejects_bad_values(capsys, monkeypatch):
+    for raw in ("abc", "0"):
+        monkeypatch.setenv("NORMLAB_ENUM_BOUND", raw)
+        code, out, err = run_cli(
+            ["verify", "comp22", "--group", "S:5", "--subgroup", "stab:5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "NORMLAB_ENUM_BOUND" in err and repr(raw) in err
+
+
+def test_verify_selector_over_bound_is_skipped(capsys):
+    # the Sylow selector has to enumerate S:10, which is above the default
+    # enumeration bound: a skip report and exit 4, not a usage error
+    code, out, _ = run_cli(
+        ["verify", "rem23", "--group", "S:10", "--subgroup", "syl:2", "--format", "json"],
+        capsys,
+    )
+    assert code == 4
+    doc = json.loads(out)
+    (report,) = doc["reports"]
+    assert report["status"] == "skipped-too-large"
+    assert report["subject"] == {"group": "S:10", "group_order": 3628800}
+    assert doc["summary"]["status_counts"] == {"skipped-too-large": 1}
+
+
 def test_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "normlab.cli", "analyze", "--group", "S:3"],
