@@ -18,7 +18,7 @@ from . import __version__
 from .catalog import build, default_sweep, parse_spec, select_subgroup
 from .errors import NormlabError, OrderTooLarge, UnknownTheorem
 from .limits import limits_from_env, parse_enum_bound, set_limits
-from .scan import THEOREM_NAMES, VERIFIERS, scan
+from .scan import THEOREM_NAMES, VERIFIERS, scan, skip_report
 from .structure import (
     fitting_length,
     fitting_subgroup,
@@ -112,10 +112,8 @@ def _exit_code_for(reports: list[VerdictReport]) -> int:
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
-    started = time.perf_counter()
-    spec = parse_spec(args.group, selector=args.subgroup)
-    G, H = build(spec)
+def _analysis(spec, G, H) -> dict:
+    """Structural invariants of G (and H, if given) for the analyze document."""
     analysis: dict = {"group": str(spec), "order": G.order(), "degree": G.degree}
     solvable = is_solvable(G)
     analysis["solvable"] = solvable
@@ -141,6 +139,25 @@ def cmd_analyze(args) -> int:
     if H is not None:
         analysis["subgroup"] = fingerprint(H)
         analysis["subgroup_order"] = H.order()
+    return analysis
+
+
+def cmd_analyze(args) -> int:
+    started = time.perf_counter()
+    spec = parse_spec(args.group)
+    G, H = build(spec)
+    try:
+        # selecting can hit a bound too (a Sylow search enumerates G)
+        if args.subgroup:
+            H = select_subgroup(G, args.subgroup)
+        analysis = _analysis(spec, G, H)
+    except OrderTooLarge as exc:
+        subject = {"group": str(spec), "group_order": G.order()}
+        report = skip_report("analyze", subject, str(exc))
+        elapsed = time.perf_counter() - started
+        doc = report_document(list(sys.argv[1:]), [report], {}, elapsed)
+        _emit(doc, args.format, args.out, _render_report(report))
+        return _exit_code_for([report])
     elapsed = time.perf_counter() - started
     doc = report_document(list(sys.argv[1:]), [], {}, elapsed, analysis=analysis)
     lines = [f"analyze {analysis['group']}:"]
@@ -205,13 +222,8 @@ def cmd_verify(args) -> int:
             )
             report = verify_burnside_complement(H, attestation)
     except OrderTooLarge as exc:
-        report = VerdictReport(
-            theorem,
-            {"group": str(spec), "group_order": G.order()},
-            status=STATUS_SKIPPED,
-            mode=mode,
-            metadata={"reason": str(exc)},
-        )
+        subject = {"group": str(spec), "group_order": G.order()}
+        report = skip_report(theorem, subject, str(exc), mode)
     report.subject.setdefault("group", str(spec))
     elapsed = time.perf_counter() - started
     doc = report_document(list(sys.argv[1:]), [report], {}, elapsed)

@@ -6,35 +6,41 @@ tuples to avoid object overhead.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable, TypeVar
 
 from .perm import compose_tuples, identity_tuple
 
-__all__ = ["mulclose", "dimino_extend"]
+__all__ = ["orbit", "act_on_point", "mulclose", "dimino_extend"]
+
+T = TypeVar("T")
 
 
-def mulclose(degree: int, gens: Iterable[tuple[int, ...]], cap: int | None = None):
-    """Closure of the generators under multiplication, by plain BFS.
+def orbit(
+    seed: T, gens: Iterable[tuple[int, ...]], act: Callable[[T, tuple[int, ...]], T]
+) -> list[T]:
+    """The orbit of seed under the group the generators generate, in
+    breadth-first discovery order; act(x, g) is the image of x under g."""
+    gens = list(gens)
+    found = [seed]
+    seen = {seed}
+    for x in found:
+        for g in gens:
+            y = act(x, g)
+            if y not in seen:
+                seen.add(y)
+                found.append(y)
+    return found
 
-    Returns the element set, or None if a cap was given and exceeded.
-    """
-    ident = identity_tuple(degree)
-    gens = [g for g in gens if g != ident]
-    els: set[tuple[int, ...]] = {ident}
-    els.update(gens)
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = compose_tuples(x, g)
-                if y not in els:
-                    els.add(y)
-                    if cap is not None and len(els) > cap:
-                        return None
-                    nxt.append(y)
-        frontier = nxt
-    return els
+
+def act_on_point(point: int, g: tuple[int, ...]) -> int:
+    """The image of a point, as an action for orbit."""
+    return g[point - 1]
+
+
+def mulclose(degree: int, gens: Iterable[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """Closure of the generators under multiplication: the orbit of the
+    identity under right multiplication."""
+    return set(orbit(identity_tuple(degree), gens, compose_tuples))
 
 
 def dimino_extend(

@@ -12,6 +12,7 @@ import threading
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .chain import StabilizerChain, build_chain
+from .closure import act_on_point, dimino_extend, orbit
 from .errors import DegreeMismatch, EmptyDegree, OrderTooLarge, PointOutOfRange
 from .limits import get_limits
 from .perm import Perm, conjugate_tuple, identity_tuple
@@ -26,7 +27,7 @@ class Group:
     ``generators`` wraps them as ``Perm`` objects.
     """
 
-    __slots__ = ("degree", "generator_tuples", "_chain", "_stab_chains", "_lock", "_cache")
+    __slots__ = ("degree", "generator_tuples", "_chain", "_lock", "_cache")
 
     def __init__(self, degree: int, generators: Sequence[Perm]):
         if degree < 1:
@@ -40,7 +41,6 @@ class Group:
         self.degree = degree
         self.generator_tuples = gens
         self._chain: StabilizerChain | None = None
-        self._stab_chains: dict[int, StabilizerChain] = {}
         self._lock = threading.Lock()
         self._cache: dict = {}
 
@@ -109,42 +109,31 @@ class Group:
     def is_trivial(self) -> bool:
         return set(self.generator_tuples) <= {identity_tuple(self.degree)}
 
-    def elements(self, limit: int | None = None) -> Iterator[Perm]:
+    def elements(self) -> Iterator[Perm]:
         """Every element exactly once, in sorted image-tuple order."""
-        for t in sorted(self.element_tuples(limit)):
+        for t in sorted(self.element_tuples()):
             yield Perm(t, _checked=True)
 
-    def element_tuples(self, limit: int | None = None) -> frozenset[tuple[int, ...]]:
+    def element_tuples(self) -> frozenset[tuple[int, ...]]:
         """The set of all elements as raw image tuples (cached)."""
         cached = self._cache.get("elements")
         if cached is not None:
             return cached
-        bound = limit if limit is not None else get_limits().enum_bound
+        bound = get_limits().enum_bound
         if self.order() > bound:
             raise OrderTooLarge(f"group order {self.order()} exceeds bound {bound}")
         elems = frozenset(self.chain.iter_elements())
         self._cache["elements"] = elems
         return elems
 
-    def sorted_elements(self, limit: int | None = None) -> list[Perm]:
-        return [Perm(t, _checked=True) for t in sorted(self.element_tuples(limit))]
+    def sorted_elements(self) -> list[Perm]:
+        return [Perm(t, _checked=True) for t in sorted(self.element_tuples())]
 
     def orbit(self, point: int) -> set[int]:
         """Orbit of a point under the generator closure."""
         if not 1 <= point <= self.degree:
             raise PointOutOfRange(f"point {point} outside 1..{self.degree}")
-        seen = {point}
-        frontier = [point]
-        while frontier:
-            nxt = []
-            for pt in frontier:
-                for g in self.generator_tuples:
-                    img = g[pt - 1]
-                    if img not in seen:
-                        seen.add(img)
-                        nxt.append(img)
-            frontier = nxt
-        return seen
+        return set(orbit(point, self.generator_tuples, act_on_point))
 
     def is_transitive(self) -> bool:
         return len(self.orbit(1)) == self.degree
@@ -153,10 +142,7 @@ class Group:
         """The subgroup fixing the given point, via a chain based there."""
         if not 1 <= point <= self.degree:
             raise PointOutOfRange(f"point {point} outside 1..{self.degree}")
-        chain = self._stab_chains.get(point)
-        if chain is None:
-            chain = self.chain_with_base((point,))
-            self._stab_chains[point] = chain
+        chain = self.cached(("stab_chain", point), lambda: self.chain_with_base((point,)))
         return Group.from_generator_tuples(self.degree, chain.stabilizer_generators())
 
     def conjugacy_class_reps(self) -> list[Perm]:
@@ -167,20 +153,9 @@ class Group:
             seen: set[tuple[int, ...]] = set()
             reps: list[Perm] = []
             for t in sorted(self.element_tuples()):
-                if t in seen:
-                    continue
-                reps.append(Perm(t, _checked=True))
-                frontier = [t]
-                seen.add(t)
-                while frontier:
-                    nxt = []
-                    for x in frontier:
-                        for g in gens:
-                            y = conjugate_tuple(x, g)
-                            if y not in seen:
-                                seen.add(y)
-                                nxt.append(y)
-                    frontier = nxt
+                if t not in seen:
+                    reps.append(Perm(t, _checked=True))
+                    seen.update(orbit(t, gens, conjugate_tuple))
             return reps
 
         return self.cached("class_reps", compute)
@@ -196,16 +171,16 @@ class Group:
         group = cls.from_generator_tuples(degree, gens)
         group._cache["elements"] = elem_set
         group._cache["order"] = len(elem_set)
+        group._cache["canonical_gens"] = group.generator_tuples
         return group
 
     def canonical_generators(self) -> tuple[Perm, ...]:
         """A deterministic small generating sequence (greedy over sorted elements)."""
-
-        def compute():
-            gens, _ = _canonical_generators(self.degree, self.element_tuples())
-            return tuple(Perm(t, _checked=True) for t in gens)
-
-        return self.cached("canonical_gens", compute)
+        gens = self.cached(
+            "canonical_gens",
+            lambda: tuple(_canonical_generators(self.degree, self.element_tuples())[0]),
+        )
+        return tuple(Perm(t, _checked=True) for t in gens)
 
     def __repr__(self) -> str:
         shown = ", ".join(str(g) for g in self.generators[:4])
@@ -217,8 +192,6 @@ class Group:
 def _canonical_generators(
     degree: int, elem_set: frozenset[tuple[int, ...]]
 ) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
-    from .closure import dimino_extend  # local import to avoid a cycle
-
     closed: set[tuple[int, ...]] = {identity_tuple(degree)}
     gens: list[tuple[int, ...]] = []
     for t in sorted(elem_set):

@@ -47,7 +47,7 @@ from .theorems import (
 )
 from .verdict import STATUS_SKIPPED, Check, VerdictReport
 
-__all__ = ["scan", "scan_group", "intro_suite", "THEOREM_NAMES"]
+__all__ = ["scan", "scan_group", "intro_suite", "skip_report", "THEOREM_NAMES"]
 
 VERIFIERS = {
     "comp22": verify_comp22,
@@ -56,16 +56,10 @@ VERIFIERS = {
     "simp": verify_simp,
 }
 THEOREM_NAMES = tuple(VERIFIERS)
-INTRO_THEOREMS = (
-    "intro-burnside",
-    "intro-thompson64",
-    "intro-frobenius",
-    "intro-kegel-wielandt",
-    "intro-gross",
-)
 
 
-def _skip_report(theorem: str, subject: dict, reason: str, mode: str | None = None) -> VerdictReport:
+def skip_report(theorem: str, subject: dict, reason: str, mode: str | None = None) -> VerdictReport:
+    """A skipped-too-large record whose metadata carries the reason."""
     return VerdictReport(
         theorem,
         subject,
@@ -91,7 +85,7 @@ def scan_group(
         subs = enumerate_subgroups(G)
     except OrderTooLarge as exc:
         stats["skipped_groups"] = 1
-        return [_skip_report("scan", dict(base_subject), str(exc))], stats
+        return [skip_report("scan", dict(base_subject), str(exc))], stats
 
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
@@ -105,7 +99,7 @@ def scan_group(
             ctx = maximal_normalizer_context(G, H)
             hit_modes = [m for m in modes if ctx.result(m).passed]
         except NormlabError as exc:
-            reports.append(_skip_report("maximal-normalizer", subject, str(exc)))
+            reports.append(skip_report("maximal-normalizer", subject, str(exc)))
             continue
         if not hit_modes:
             continue
@@ -115,7 +109,7 @@ def scan_group(
                 try:
                     rep = VERIFIERS[thm](G, H, mode, ctx)
                 except NormlabError as exc:
-                    rep = _skip_report(thm, dict(subject), str(exc), mode)
+                    rep = skip_report(thm, dict(subject), str(exc), mode)
                 rep.subject.update(subject)
                 reports.append(rep)
 

@@ -10,7 +10,6 @@ from math import gcd
 from typing import Callable
 
 from .arith import is_prime, is_prime_power, p_part, p_valuation, primes_dividing
-from .chain import build_chain
 from .errors import (
     IndexTooLarge,
     InvalidPrime,
@@ -34,6 +33,7 @@ from .perm import (
 from .subgroups import (
     Subgroup,
     _check_ambient,
+    _same_group,
     core,
     enumerate_subgroups,
     is_normal,
@@ -86,24 +86,25 @@ def _commutator_subgroup(G: Group, H: Group, inside: Group) -> Group:
     return normal_closure(inside, comms).carrier
 
 
+def _series(G: Group, kind: str, step: Callable[[Group], Group]) -> SeriesReport:
+    """G, step(G), step(step(G)), .. until a term is trivial or stable."""
+    terms = [whole(G)]
+    current = G
+    while current.order() > 1:
+        nxt = step(current)
+        if nxt.order() == current.order():
+            return SeriesReport(terms, kind, terminated=False)
+        terms.append(Subgroup(G, nxt))
+        current = nxt
+    return SeriesReport(terms, kind, terminated=True)
+
+
 def derived_series(G: Group) -> SeriesReport:
     """Successive commutator subgroups until trivial or stable."""
-
-    def compute():
-        terms = [whole(G)]
-        current = G
-        if current.order() == 1:
-            return SeriesReport(terms, "derived", terminated=True)
-        while True:
-            D = _commutator_subgroup(current, current, current)
-            if D.order() == current.order():
-                return SeriesReport(terms, "derived", terminated=False)
-            terms.append(Subgroup(G, D))
-            if D.order() == 1:
-                return SeriesReport(terms, "derived", terminated=True)
-            current = D
-
-    return G.cached("derived_series", compute)
+    return G.cached(
+        "derived_series",
+        lambda: _series(G, "derived", lambda X: _commutator_subgroup(X, X, X)),
+    )
 
 
 def is_solvable(G: Group) -> bool:
@@ -112,22 +113,10 @@ def is_solvable(G: Group) -> bool:
 
 def lower_central_series(G: Group) -> SeriesReport:
     """Terms [G, [G,G], [[G,G],G], ..] until trivial or stable."""
-
-    def compute():
-        terms = [whole(G)]
-        current = G
-        if current.order() == 1:
-            return SeriesReport(terms, "lower-central", terminated=True)
-        while True:
-            nxt = _commutator_subgroup(current, G, G)
-            if nxt.order() == current.order():
-                return SeriesReport(terms, "lower-central", terminated=False)
-            terms.append(Subgroup(G, nxt))
-            if nxt.order() == 1:
-                return SeriesReport(terms, "lower-central", terminated=True)
-            current = nxt
-
-    return G.cached("lower_central_series", compute)
+    return G.cached(
+        "lower_central_series",
+        lambda: _series(G, "lower-central", lambda X: _commutator_subgroup(X, G, G)),
+    )
 
 
 def is_nilpotent(G: Group) -> bool:
@@ -244,8 +233,6 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
 
 def is_hall(G: Group, H: Subgroup) -> bool:
     """True when the order and index of H in G are coprime."""
-    from .subgroups import _same_group
-
     if not _same_group(G, H.ambient):
         raise NotASubgroup("subgroup has a different ambient group")
     h = H.order()
@@ -335,25 +322,18 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
 def is_p_nilpotent(G: Group, p: int) -> bool:
     """True when the subgroup generated by all p'-elements misses p entirely.
 
-    That subgroup is the would-be normal p-complement: the p'-part g^(p^k)
-    of every element g is collected and the generated subgroup N must have
-    order prime to p.
+    That subgroup is the would-be normal p-complement: the p'-parts g^(p^k)
+    of all elements g form a conjugation-closed set, whose normal closure N
+    must have order prime to p.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
 
     def compute():
-        chain = build_chain(G.degree, ())
-        gens: list[tuple[int, ...]] = []
-        for g in G.element_tuples():
-            part = power_tuple(g, p_part(order_of_tuple(g), p))
-            if not chain.contains(part):
-                gens.append(part)
-                chain = chain.extended([part])
-        N = Group.from_generator_tuples(G.degree, gens)
-        N._chain = chain
-        assert is_normal(G, Subgroup(G, N))
-        return chain.order() % p != 0
+        parts = {power_tuple(g, p_part(order_of_tuple(g), p)) for g in G.element_tuples()}
+        N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, parts)))
+        assert is_normal(G, N)
+        return N.order() % p != 0
 
     return G.cached(("p_nilpotent", p), compute)
 

@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .arith import is_prime_power
 from .chain import build_chain
-from .closure import dimino_extend
+from .closure import act_on_point, dimino_extend, orbit
 from .errors import AmbientMismatch, NotASubgroup, OrderTooLarge
 from .group import Group, trivial_group
 from .limits import get_limits
@@ -223,7 +223,7 @@ def is_normal(ambient: Group, H: Subgroup) -> bool:
 
 def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
     """The set of ambient elements g with H^g == H, by a pruned backtrack
-    over the stabilizer chain."""
+    over the stabilizer chain, memoized on the ambient group by H's element set."""
     _check_ambient(ambient, H)
     bound = get_limits().enum_bound
     if ambient.order() > bound:
@@ -232,8 +232,12 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
         return whole(ambient)
     if is_normal(ambient, H):
         return whole(ambient)
-    found = _normalizer_backtrack(ambient, H)
-    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, found))
+    return ambient.cached(
+        ("normalizer", H.carrier.element_tuples()),
+        lambda: Subgroup(
+            ambient, Group.from_element_tuples(ambient.degree, _normalizer_backtrack(ambient, H))
+        ),
+    )
 
 
 def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
@@ -247,27 +251,14 @@ def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
     # H-orbit structure on points: a normalizing element must map orbits to
     # orbits of equal size, injectively
     h_gens = [g for g in H.carrier.generator_tuples if g != ident]
-    orbit_id = [0] * (degree + 1)
+    orbit_id = [-1] * (degree + 1)
     orbit_sizes: list[int] = []
-    assigned = [False] * (degree + 1)
     for pt in range(1, degree + 1):
-        if assigned[pt]:
-            continue
-        oid = len(orbit_sizes)
-        orb = [pt]
-        assigned[pt] = True
-        orbit_id[pt] = oid
-        i = 0
-        while i < len(orb):
-            x = orb[i]
-            i += 1
-            for g in h_gens:
-                y = g[x - 1]
-                if not assigned[y]:
-                    assigned[y] = True
-                    orbit_id[y] = oid
-                    orb.append(y)
-        orbit_sizes.append(len(orb))
+        if orbit_id[pt] < 0:
+            orb = orbit(pt, h_gens, act_on_point)
+            for y in orb:
+                orbit_id[y] = len(orbit_sizes)
+            orbit_sizes.append(len(orb))
 
     H_set = H.carrier.element_tuples()
     found: list[tuple[int, ...]] = []
@@ -425,17 +416,5 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
 
 
 def is_simple(G: Group) -> bool:
-    """True when |G| > 1 and every non-identity element generates G normally."""
-
-    def compute():
-        if G.order() == 1:
-            return False
-        for rep in G.conjugacy_class_reps():
-            if rep.is_identity():
-                continue
-            N = normal_closure(G, subgroup(G, [rep], check=False))
-            if N.order() != G.order():
-                return False
-        return True
-
-    return G.cached("is_simple", compute)
+    """True when |G| > 1 and G is its only minimal normal subgroup."""
+    return G.order() > 1 and [M.order() for M in minimal_normal_subgroups(G)] == [G.order()]

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
+from .closure import mulclose
 from .errors import DoesNotNormalize, NormlabError, OrderTooLarge
 from .group import Group
 from .limits import get_limits
@@ -111,8 +112,8 @@ class MaximalNormalizerResult:
 class MaxNormContext:
     """Shared data for the maximal-normalizer test on a fixed pair (G, H).
 
-    Both quantifier modes reuse the same core, quotient, Fitting subgroup,
-    candidate list, and normalizer computations.
+    Both quantifier modes reuse the same core, quotient, Fitting subgroup
+    and candidate list; normalizers in Q are memoized on Q itself.
     """
 
     G: Group
@@ -124,7 +125,6 @@ class MaxNormContext:
     fitting: Subgroup | None
     candidates_fit: list[Subgroup] = field(default_factory=list)
     candidates_h: list[Subgroup] = field(default_factory=list)
-    _normalizer_cache: dict = field(default_factory=dict)
     _results: dict = field(default_factory=dict)
 
     def result(self, mode: str) -> MaximalNormalizerResult:
@@ -149,7 +149,7 @@ class MaxNormContext:
             )
         candidates = self.candidates_fit if mode == MODE_FIT_NORMAL else self.candidates_h
         for i, L in enumerate(candidates):
-            NL = self._normalizer(L)
+            NL = normalizer(self.Q, L)
             if not subgroups_equal(NL, self.Hbar):
                 return MaximalNormalizerResult(
                     passed=False,
@@ -163,14 +163,6 @@ class MaxNormContext:
             vacuous=not candidates,
             **base,
         )
-
-    def _normalizer(self, L: Subgroup) -> Subgroup:
-        key = L.carrier.element_tuples()
-        cached = self._normalizer_cache.get(key)
-        if cached is None:
-            cached = normalizer(self.Q, L)
-            self._normalizer_cache[key] = cached
-        return cached
 
 
 def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
@@ -308,11 +300,11 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
     return G.cached("frobenius_decomposition", compute)
 
 
-def fixed_point_free(K: Subgroup, Phi: Subgroup, ambient: Group) -> tuple[bool, str]:
+def fixed_point_free(K: Subgroup, Phi: Subgroup) -> tuple[bool, str]:
     """True when every non-identity element of Phi centralizes nothing in K.
 
-    Phi must normalize K (it acts on K by conjugation inside the ambient
-    group); otherwise DoesNotNormalize is raised.
+    Phi must normalize K (it acts on K by conjugation); otherwise
+    DoesNotNormalize is raised.
     """
     for ph in Phi.carrier.generator_tuples:
         for kg in K.carrier.generator_tuples:
@@ -344,8 +336,6 @@ def is_dihedral_2group(P: Group) -> tuple[bool, bool]:
     has_index2_cyclic = n // 2 in orders.values()
     if not has_index2_cyclic:
         return False, False
-    from .closure import mulclose
-
     involutions = [t for t, m in orders.items() if m == 2]
     closed = mulclose(P.degree, involutions)
     return (len(closed) == n), False
@@ -675,7 +665,7 @@ def verify_thompson(K: Subgroup, Phi: Subgroup, ambient: Group) -> VerdictReport
             "actor_order": Phi.order(),
         },
     )
-    fpf, witness = fixed_point_free(K, Phi, ambient)
+    fpf, witness = fixed_point_free(K, Phi)
     report.hypothesis_checks = [
         Check("actor-has-prime-order", is_prime(Phi.order()), f"order {Phi.order()}"),
         Check("action-fixed-point-free", fpf, witness),

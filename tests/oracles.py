@@ -90,6 +90,27 @@ def brute_normalizer(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
     return {g for g in ambient if {conj(h, g) for h in H} == set(H)}
 
 
+def tuple_inv(a: tuple[int, ...]) -> tuple[int, ...]:
+    images = [0] * len(a)
+    for i, x in enumerate(a):
+        images[x - 1] = i + 1
+    return tuple(images)
+
+
+def brute_normalizer_tuples(
+    ambient: set[tuple[int, ...]], H: set[tuple[int, ...]]
+) -> set[tuple[int, ...]]:
+    """brute_normalizer on raw image tuples: g normalizes H when h^g lies in H
+    for every h in H, stopping at the first h that does not."""
+    found = set()
+    for g in ambient:
+        g_inv = tuple_inv(g)
+        # h^g = g^-1 * h * g, both products in one pass
+        if all(tuple([g[h[x - 1] - 1] for x in g_inv]) in H for h in H):
+            found.add(g)
+    return found
+
+
 def brute_centralizer(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
     return {g for g in ambient if all(mul(g, h) == mul(h, g) for h in H)}
 

@@ -34,7 +34,7 @@ from normlab.theorems import (
 )
 from normlab.scan import scan
 
-from oracles import brute_centralizer, brute_normalizer, mulclose
+from oracles import brute_centralizer, brute_normalizer_tuples, mulclose
 
 
 def _report(criterion: str, passed: bool, detail: str = "") -> None:
@@ -188,6 +188,7 @@ def test_criterion_7_oracle_equivalence():
     for spec in default_sweep(max_order=2000):
         G, _ = build(spec)
         ambient = set(G.elements())
+        ambient_tuples = {g.images for g in ambient}
         elements = sorted(ambient)
         assert G.order() == len(mulclose(list(G.generators), G.degree))
         for _ in range(50):
@@ -198,7 +199,9 @@ def test_criterion_7_oracle_equivalence():
             probe = rng.choice(elements)
             ok = ok and H.carrier.contains(probe) == (probe in H_set)
             N = normalizer(G, H)
-            ok = ok and set(N.carrier.sorted_elements()) == brute_normalizer(ambient, H_set)
+            ok = ok and N.carrier.element_tuples() == brute_normalizer_tuples(
+                ambient_tuples, {h.images for h in H_set}
+            )
             C = centralizer(G, H)
             ok = ok and set(C.carrier.sorted_elements()) == brute_centralizer(ambient, H_set)
             checked += 1

@@ -240,6 +240,23 @@ def test_verify_selector_over_bound_is_skipped(capsys):
     assert doc["summary"]["status_counts"] == {"skipped-too-large": 1}
 
 
+def test_analyze_over_bound_is_skipped(capsys):
+    # S:10 is above the default enumeration bound, with or without a
+    # selector that has to enumerate it: a skip report and exit 4
+    for extra in ([], ["--subgroup", "syl:2"]):
+        code, out, _ = run_cli(
+            ["analyze", "--group", "S:10", "--format", "json", *extra], capsys
+        )
+        assert code == 4
+        doc = json.loads(out)
+        (report,) = doc["reports"]
+        assert report["theorem"] == "analyze"
+        assert report["status"] == "skipped-too-large"
+        assert report["subject"] == {"group": "S:10", "group_order": 3628800}
+        assert "exceeds bound" in report["metadata"]["reason"]
+        assert doc["summary"]["status_counts"] == {"skipped-too-large": 1}
+
+
 def test_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "normlab.cli", "analyze", "--group", "S:3"],

@@ -198,8 +198,16 @@ def test_normalizer_contains_subgroup_and_normality():
             assert is_normal(G, H) == (N.order() == G.order())
 
 
+def test_normalizer_memo_is_keyed_by_element_set(s4):
+    # two generating sets of the same C3 share one memoized normalizer
+    a = subgroup(s4, [perm_from_cycles(4, [(1, 2, 3)])])
+    b = subgroup(s4, [perm_from_cycles(4, [(1, 3, 2)])])
+    assert normalizer(s4, a) is normalizer(s4, b)
+
+
 def test_normalizer_order_too_large(psl2_17):
     H = subgroup(psl2_17, [psl2_17.generators[0]])
+    normalizer(psl2_17, H)  # memoized on psl2_17; the bound is still checked first
     with using_limits(Limits(enum_bound=100)):
         with pytest.raises(OrderTooLarge):
             normalizer(psl2_17, H)

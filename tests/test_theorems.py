@@ -163,20 +163,20 @@ def test_frobenius_decomposition_none():
 def test_fixed_point_free_a4(a4):
     V = p_core(a4, 2)
     C3 = subgroup(a4, [perm_from_cycles(4, [[1, 2, 3]])])
-    ok, witness = fixed_point_free(V, C3, a4)
+    ok, witness = fixed_point_free(V, C3)
     assert ok and witness == ""
 
 
 def test_fixed_point_free_fails_in_s4(s4):
     V = p_core(s4, 2)
     C2 = subgroup(s4, [perm_from_cycles(4, [[1, 2]])])
-    ok, witness = fixed_point_free(V, C2, s4)
+    ok, witness = fixed_point_free(V, C2)
     assert not ok and "fixes" in witness
 
 
 def test_fixed_point_free_trivial_actor(s4):
     V = p_core(s4, 2)
-    ok, _ = fixed_point_free(V, trivial_subgroup(s4), s4)
+    ok, _ = fixed_point_free(V, trivial_subgroup(s4))
     assert ok
 
 
@@ -184,7 +184,7 @@ def test_fixed_point_free_requires_normalizing(s4):
     C3 = subgroup(s4, [perm_from_cycles(4, [[1, 2, 3]])])
     C4 = subgroup(s4, [perm_from_cycles(4, [[1, 2, 3, 4]])])
     with pytest.raises(DoesNotNormalize):
-        fixed_point_free(C3, C4, s4)
+        fixed_point_free(C3, C4)
 
 
 # -- dihedral recognition --------------------------------------------------------------
