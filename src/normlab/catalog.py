@@ -46,9 +46,6 @@ class GroupSpec:
             body = f"{self.kind}:{self.param}"
         return body
 
-    def with_selector(self, selector: str) -> "GroupSpec":
-        return GroupSpec(self.kind, self.param, self.path, self.factors, selector)
-
 
 def parse_spec(text: str, selector: str = "") -> GroupSpec:
     text = text.strip()

@@ -130,9 +130,6 @@ class StabilizerChain:
     def order(self) -> int:
         return prod(len(lvl.transversal) for lvl in self.levels)
 
-    def base(self) -> tuple[int, ...]:
-        return tuple(lvl.base for lvl in self.levels)
-
     def contains(self, p: Images) -> bool:
         return _sift_from(self.levels, p, 0)[0] == self.ident
 

@@ -39,7 +39,7 @@ from .theorems import (
     verify_burnside_complement,
     verify_thompson,
 )
-from .verdict import STATUS_COUNTEREXAMPLE, STATUS_SKIPPED, VerdictReport
+from .verdict import STATUS_COUNTEREXAMPLE, STATUS_SKIPPED, VerdictReport, status_counts
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,10 +52,7 @@ VERIFY_THEOREMS = THEOREM_NAMES + ("thompson", "burnside")
 def report_document(invocation: list[str], reports: list[VerdictReport], summary: dict,
                     elapsed_s: float, analysis: dict | None = None) -> dict:
     if not summary:
-        status_counts: dict[str, int] = {}
-        for r in reports:
-            status_counts[r.status] = status_counts.get(r.status, 0) + 1
-        summary = {"status_counts": status_counts}
+        summary = {"status_counts": status_counts(reports)}
     doc = {
         "tool": "normlab",
         "version": __version__,
@@ -153,32 +150,17 @@ def cmd_analyze(args) -> int:
         analysis = _analysis(spec, G, H)
     except OrderTooLarge as exc:
         subject = {"group": str(spec), "group_order": G.order()}
-        report = skip_report("analyze", subject, str(exc))
-        elapsed = time.perf_counter() - started
-        doc = report_document(list(sys.argv[1:]), [report], {}, elapsed)
-        _emit(doc, args.format, args.out, _render_report(report))
-        return _exit_code_for([report])
+        reports = [skip_report("analyze", subject, str(exc))]
+        analysis, human = None, _render_report(reports[0])
+    else:
+        reports = []
+        human = "\n".join([f"analyze {analysis['group']}:"] + [
+            f"  {key}: {value}" for key, value in analysis.items() if key != "group"
+        ])
     elapsed = time.perf_counter() - started
-    doc = report_document(list(sys.argv[1:]), [], {}, elapsed, analysis=analysis)
-    lines = [f"analyze {analysis['group']}:"]
-    for key in (
-        "order",
-        "degree",
-        "solvable",
-        "nilpotent",
-        "fitting_order",
-        "fitting_length",
-        "center_order",
-        "minimal_normal_orders",
-        "simple",
-        "frobenius",
-        "subgroup",
-        "subgroup_order",
-    ):
-        if key in analysis:
-            lines.append(f"  {key}: {analysis[key]}")
-    _emit(doc, args.format, args.out, "\n".join(lines))
-    return EXIT_OK
+    doc = report_document(list(sys.argv[1:]), reports, {}, elapsed, analysis=analysis)
+    _emit(doc, args.format, args.out, human)
+    return _exit_code_for(reports)
 
 
 def _parse_mode(raw: str) -> str:
@@ -253,17 +235,17 @@ def cmd_scan(args) -> int:
     elapsed = time.perf_counter() - started
     doc = report_document(list(sys.argv[1:]), reports, summary, elapsed)
     out_path = args.out or "normlab-scan.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2) + "\n")
+    lines = []
     for r in reports:
         subgroup_part = f" {r.subject['subgroup']}" if "subgroup" in r.subject else ""
         mode_part = f" [{r.mode}]" if r.mode else ""
-        print(f"{r.subject.get('group', '?')}{subgroup_part} {r.theorem}{mode_part}: {r.status}")
-    print(
+        lines.append(f"{r.subject.get('group', '?')}{subgroup_part} {r.theorem}{mode_part}: {r.status}")
+    lines.append(
         f"scan complete: {summary['groups_scanned']} group(s), "
         f"{summary['pairs_scanned']} pair(s), {summary['maximal_normalizer_hits']} hit(s); "
         f"statuses {summary['status_counts']}; report written to {out_path}"
     )
+    _emit(doc, args.format, out_path, "\n".join(lines))
     return _exit_code_for(reports)
 
 

@@ -2,8 +2,8 @@
 
 A Group is immutable once constructed; the chain is built on first demand
 under a lock, so first use from concurrent workers is safe. Derived data
-(element sets, conjugacy classes, structural subgroups) is memoized on the
-instance.
+(the element set and its sorted list, structural subgroups) is memoized on
+the instance.
 """
 
 from __future__ import annotations
@@ -106,12 +106,9 @@ class Group:
     def __contains__(self, p: Perm) -> bool:
         return self.contains(p)
 
-    def is_trivial(self) -> bool:
-        return set(self.generator_tuples) <= {identity_tuple(self.degree)}
-
     def elements(self) -> Iterator[Perm]:
         """Every element exactly once, in sorted image-tuple order."""
-        for t in sorted(self.element_tuples()):
+        for t in self.sorted_element_tuples():
             yield Perm(t, _checked=True)
 
     def element_tuples(self) -> frozenset[tuple[int, ...]]:
@@ -126,8 +123,16 @@ class Group:
         self._cache["elements"] = elems
         return elems
 
+    def sorted_element_tuples(self) -> list[tuple[int, ...]]:
+        """The elements as image tuples in ascending order (cached): the one
+        element order that every order-dependent search walks."""
+        cached = self._cache.get("sorted_elements")
+        if cached is None:
+            cached = self._cache["sorted_elements"] = sorted(self.element_tuples())
+        return cached
+
     def sorted_elements(self) -> list[Perm]:
-        return [Perm(t, _checked=True) for t in sorted(self.element_tuples())]
+        return [Perm(t, _checked=True) for t in self.sorted_element_tuples()]
 
     def orbit(self, point: int) -> set[int]:
         """Orbit of a point under the generator closure."""
@@ -142,43 +147,38 @@ class Group:
         """The subgroup fixing the given point, via a chain based there."""
         if not 1 <= point <= self.degree:
             raise PointOutOfRange(f"point {point} outside 1..{self.degree}")
-        chain = self.cached(("stab_chain", point), lambda: self.chain_with_base((point,)))
-        return Group.from_generator_tuples(self.degree, chain.stabilizer_generators())
+        gens = self.chain_with_base((point,)).stabilizer_generators()
+        return Group.from_generator_tuples(self.degree, gens)
 
     def conjugacy_class_reps(self) -> list[Perm]:
         """One representative per conjugacy class, smallest tuple first."""
-
-        def compute():
-            gens = self.generator_tuples
-            seen: set[tuple[int, ...]] = set()
-            reps: list[Perm] = []
-            for t in sorted(self.element_tuples()):
-                if t not in seen:
-                    reps.append(Perm(t, _checked=True))
-                    seen.update(orbit(t, gens, conjugate_tuple))
-            return reps
-
-        return self.cached("class_reps", compute)
+        gens = self.generator_tuples
+        seen: set[tuple[int, ...]] = set()
+        reps: list[Perm] = []
+        for t in self.sorted_element_tuples():
+            if t not in seen:
+                reps.append(Perm(t, _checked=True))
+                seen.update(orbit(t, gens, conjugate_tuple))
+        return reps
 
     # -- construction helpers ------------------------------------------------
 
     @classmethod
     def from_element_tuples(cls, degree: int, elems: Iterable[tuple[int, ...]]) -> Group:
         """Build a group from its full element set, with small canonical generators."""
-        elem_set = frozenset(elems)
-        gens, closed = _canonical_generators(degree, elem_set)
-        assert len(closed) == len(elem_set)
-        group = cls.from_generator_tuples(degree, gens)
-        group._cache["elements"] = elem_set
+        group = cls(degree, ())
+        elem_set = group._cache["elements"] = frozenset(elems)
         group._cache["order"] = len(elem_set)
-        group._cache["canonical_gens"] = group.generator_tuples
+        gens, closed = _canonical_generators(degree, group.sorted_element_tuples())
+        assert len(closed) == len(elem_set)
+        group.generator_tuples = group._cache["canonical_gens"] = tuple(gens)
         return group
 
     def canonical_generators(self) -> tuple[Perm, ...]:
         """A deterministic small generating sequence (greedy over sorted elements)."""
         gens = self.cached(
             "canonical_gens",
-            lambda: tuple(_canonical_generators(self.degree, self.element_tuples())[0]),
+            lambda: tuple(_canonical_generators(self.degree, self.sorted_element_tuples())[0]),
         )
         return tuple(Perm(t, _checked=True) for t in gens)
 
@@ -190,16 +190,16 @@ class Group:
 
 
 def _canonical_generators(
-    degree: int, elem_set: frozenset[tuple[int, ...]]
+    degree: int, sorted_elems: list[tuple[int, ...]]
 ) -> tuple[list[tuple[int, ...]], set[tuple[int, ...]]]:
     closed: set[tuple[int, ...]] = {identity_tuple(degree)}
     gens: list[tuple[int, ...]] = []
-    for t in sorted(elem_set):
+    for t in sorted_elems:
         if t in closed:
             continue
         gens.append(t)
         closed = dimino_extend(closed, gens, [t])
-        if len(closed) == len(elem_set):
+        if len(closed) == len(sorted_elems):
             break
     return gens, closed
 

@@ -126,9 +126,6 @@ class Perm:
     def order(self) -> int:
         return order_of_tuple(self.images)
 
-    def moved_points(self) -> list[int]:
-        return [i + 1 for i, x in enumerate(self.images) if x != i + 1]
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Non-trivial cycles, each starting at its smallest point."""
         seen = [False] * len(self.images)

@@ -45,7 +45,7 @@ from .theorems import (
     verify_simp,
     verify_thompson,
 )
-from .verdict import STATUS_SKIPPED, Check, VerdictReport
+from .verdict import ALL_STATUSES, STATUS_SKIPPED, Check, VerdictReport, status_counts
 
 __all__ = ["scan", "scan_group", "intro_suite", "skip_report", "THEOREM_NAMES"]
 
@@ -285,15 +285,12 @@ def _scan_worker(args) -> tuple[list[dict], dict]:
 
 
 def summarize(reports: list[VerdictReport], stats: dict) -> dict:
-    status_counts = {s: 0 for s in ("confirmed", "hypotheses-not-met", "counterexample", "skipped-too-large")}
-    per_theorem: dict[str, dict[str, int]] = {}
+    by_theorem: dict[str, list[VerdictReport]] = {}
     for r in reports:
-        status_counts[r.status] = status_counts.get(r.status, 0) + 1
-        per_theorem.setdefault(r.theorem, {})
-        per_theorem[r.theorem][r.status] = per_theorem[r.theorem].get(r.status, 0) + 1
+        by_theorem.setdefault(r.theorem, []).append(r)
     return {
-        "status_counts": status_counts,
-        "per_theorem": per_theorem,
+        "status_counts": status_counts(reports, ALL_STATUSES),
+        "per_theorem": {t: status_counts(rs) for t, rs in by_theorem.items()},
         "groups_scanned": stats.get("groups", 0),
         "groups_skipped": stats.get("skipped_groups", 0),
         "pairs_scanned": stats.get("pairs", 0),

@@ -141,16 +141,7 @@ def is_abelian(G: Group) -> bool:
 
 def p_core(G: Group, p: int) -> Subgroup:
     """Largest normal p-subgroup: the core of a Sylow p-subgroup."""
-    if not is_prime(p):
-        raise InvalidPrime(f"{p} is not prime")
-
-    def compute():
-        P = sylow_subgroup(G, p)
-        if P.order() == 1:
-            return trivial_subgroup(G)
-        return core(G, P)
-
-    return G.cached(("p_core", p), compute)
+    return core(G, sylow_subgroup(G, p))
 
 
 def fitting_subgroup(G: Group) -> Subgroup:
@@ -195,7 +186,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
         if target == 1:
             return trivial_subgroup(G)
         seed = None
-        for x in sorted(G.element_tuples()):
+        for x in G.sorted_element_tuples():
             m = order_of_tuple(x)
             v = p_valuation(m, p)
             if v:
@@ -211,7 +202,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
                 raise AssertionError("Sylow growth failed to terminate")
             N = normalizer(G, Subgroup(G, P)).carrier
             z = None
-            for y in sorted(N.element_tuples()):
+            for y in N.sorted_element_tuples():
                 m = order_of_tuple(y)
                 v = p_valuation(m, p)
                 if v == 0:
@@ -280,10 +271,10 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     if index > get_limits().index_bound:
         raise IndexTooLarge(f"coset action degree {index} exceeds bound")
 
-    n_sorted = sorted(N.carrier.element_tuples())
+    n_elems = N.carrier.element_tuples()
 
     def coset_key(t: tuple[int, ...]) -> tuple[int, ...]:
-        return min(compose_tuples(x, t) for x in n_sorted)
+        return min(compose_tuples(x, t) for x in n_elems)
 
     ident = identity_tuple(G.degree)
     reps: list[tuple[int, ...]] = [ident]
@@ -343,16 +334,13 @@ def thompson_subgroup(P: Group) -> Subgroup:
     if not is_prime_power(P.order()):
         raise NotPGroup("the Thompson subgroup is defined for non-trivial p-groups")
 
-    def compute():
-        abelians = [S for S in enumerate_subgroups(P) if is_abelian(S.carrier)]
-        best = max(S.order() for S in abelians)
-        gens: list[tuple[int, ...]] = []
-        for S in abelians:
-            if S.order() == best:
-                gens.extend(S.carrier.generator_tuples)
-        return Subgroup(P, Group.from_generator_tuples(P.degree, gens))
-
-    return P.cached("thompson", compute)
+    abelians = [S for S in enumerate_subgroups(P) if is_abelian(S.carrier)]
+    best = max(S.order() for S in abelians)
+    gens: list[tuple[int, ...]] = []
+    for S in abelians:
+        if S.order() == best:
+            gens.extend(S.carrier.generator_tuples)
+    return Subgroup(P, Group.from_generator_tuples(P.degree, gens))
 
 
 def is_cyclic(G: Group) -> bool:

@@ -114,7 +114,7 @@ def fingerprint(S: Subgroup) -> str:
 
 
 def _subgroup_sort_key(S: Subgroup):
-    return (S.order(), tuple(sorted(S.carrier.element_tuples())))
+    return (S.order(), S.carrier.sorted_element_tuples())
 
 
 # -- generation and intersection ---------------------------------------------
@@ -323,7 +323,7 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
 
         subs: dict[frozenset, tuple] = {frozenset([ident]): ()}
         cyclics: list[tuple[frozenset, tuple[int, ...]]] = []
-        for t in sorted(full):
+        for t in G.sorted_element_tuples():
             if t == ident:
                 continue
             powers = [ident]
@@ -337,34 +337,31 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
                 cyclics.append((key, t))
         pp_cyclics = [(s, g) for (s, g) in cyclics if is_prime_power(len(s))]
 
-        def expand_orbit(key: frozenset) -> frozenset:
-            orbit_keys = [key]
-            seen = {key}
-            i = 0
-            while i < len(orbit_keys):
-                k = orbit_keys[i]
-                i += 1
+        classed: set[frozenset] = set()  # keys whose whole conjugacy class is in subs
+
+        def expand_class(key: frozenset) -> None:
+            """Enter every conjugate of key into subs, with conjugated generators."""
+            class_keys = [key]
+            classed.add(key)
+            for k in class_keys:
                 k_gens = subs[k]
                 for g in gen_tuples:
                     ck = frozenset(conjugate_tuple(x, g) for x in k)
-                    if ck not in seen:
-                        seen.add(ck)
-                        orbit_keys.append(ck)
+                    if ck not in classed:
+                        classed.add(ck)
+                        class_keys.append(ck)
                         if ck not in subs:
                             subs[ck] = tuple(conjugate_tuple(x, g) for x in k_gens)
-            return min(orbit_keys, key=lambda s: tuple(sorted(s)))
 
+        # one representative per class; subs only ever holds whole classes
+        # (cyclic subgroups conjugate to cyclic ones), so a new join starts a
+        # new class
         pending: list[frozenset] = []
-        rep_seen: set[frozenset] = set()
-        for key, _ in [(frozenset([ident]), None)] + cyclics:
-            rep = expand_orbit(key)
-            if rep not in rep_seen:
-                rep_seen.add(rep)
-                pending.append(rep)
-        qi = 0
-        while qi < len(pending):
-            X = pending[qi]
-            qi += 1
+        for key in [frozenset([ident])] + [key for key, _ in cyclics]:
+            if key not in classed:
+                expand_class(key)
+                pending.append(key)
+        for X in pending:
             X_gens = list(subs[X])
             for cset, cgen in pp_cyclics:
                 if cgen in X:
@@ -373,14 +370,10 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
                 Jkey = J if isinstance(J, frozenset) else frozenset(J)
                 if Jkey not in subs:
                     subs[Jkey] = tuple(X_gens) + (cgen,)
-                    rep = expand_orbit(Jkey)
-                    if rep not in rep_seen:
-                        rep_seen.add(rep)
-                        pending.append(rep)
-        return [
-            Subgroup(G, Group.from_element_tuples(degree, key))
-            for key in sorted(subs, key=lambda s: (len(s), tuple(sorted(s))))
-        ]
+                    expand_class(Jkey)
+                    pending.append(Jkey)
+        built = [Subgroup(G, Group.from_element_tuples(degree, key)) for key in subs]
+        return sorted(built, key=_subgroup_sort_key)
 
     return G.cached("subgroup_list", compute)
 

@@ -19,7 +19,6 @@ from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
-    QuotientGroup,
     derived_series,
     fitting_subgroup,
     is_abelian,
@@ -119,7 +118,6 @@ class MaxNormContext:
     G: Group
     H: Subgroup
     core: Subgroup
-    quotient: QuotientGroup
     Q: Group
     Hbar: Subgroup
     fitting: Subgroup | None
@@ -171,7 +169,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
     Q = quot.image
     Hbar = quot.project_subgroup(H)
     if Hbar.order() == 1:
-        return MaxNormContext(G, H, C, quot, Q, Hbar, fitting=None)
+        return MaxNormContext(G, H, C, Q, Hbar, fitting=None)
     F = fitting_subgroup(Hbar.carrier)
     candidates_fit: list[Subgroup] = []
     candidates_h: list[Subgroup] = []
@@ -183,7 +181,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
             candidates_fit.append(in_Q)
         if is_normal(Hbar.carrier, Subgroup(Hbar.carrier, L.carrier)):
             candidates_h.append(in_Q)
-    return MaxNormContext(G, H, C, quot, Q, Hbar, F, candidates_fit, candidates_h)
+    return MaxNormContext(G, H, C, Q, Hbar, F, candidates_fit, candidates_h)
 
 
 def is_maximal_normalizer(
@@ -254,8 +252,8 @@ def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
     """The first non-identity a in A and b in B (in sorted order) with ab == ba,
     formatted, or None."""
     ident = identity_tuple(A.carrier.degree)
-    b_elems = sorted(B.carrier.element_tuples())
-    for a in sorted(A.carrier.element_tuples()):
+    b_elems = B.carrier.sorted_element_tuples()
+    for a in A.carrier.sorted_element_tuples():
         if a == ident:
             continue
         for b in b_elems:
@@ -271,33 +269,29 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
     complements drawn from the subgroup list by complementary order.
     Returns the first passing pair, or None.
     """
-
-    def compute():
-        n = G.order()
-        if n == 1:
-            return None
-        if center(G).order() > 1:
-            # Frobenius groups have trivial centre
-            return None
-        subs = enumerate_subgroups(G)
-        kernels = [fitting_subgroup(G)]
-        for S in subs:
-            if 1 < S.order() < n and is_normal(G, S) and not subgroups_equal(S, kernels[0]):
-                kernels.append(S)
-        for K in kernels:
-            k = K.order()
-            if k <= 1 or k >= n or n % k:
-                continue
-            d = n // k
-            for H in subs:
-                if H.order() != d:
-                    continue
-                res = is_frobenius_product(G, K, H)
-                if res.passed:
-                    return FrobeniusDecomposition(K, H, product_is_whole=True)
+    n = G.order()
+    if n == 1:
         return None
-
-    return G.cached("frobenius_decomposition", compute)
+    if center(G).order() > 1:
+        # Frobenius groups have trivial centre
+        return None
+    subs = enumerate_subgroups(G)
+    kernels = [fitting_subgroup(G)]
+    for S in subs:
+        if 1 < S.order() < n and is_normal(G, S) and not subgroups_equal(S, kernels[0]):
+            kernels.append(S)
+    for K in kernels:
+        k = K.order()
+        if k <= 1 or k >= n:
+            continue
+        d = n // k
+        for H in subs:
+            if H.order() != d:
+                continue
+            res = is_frobenius_product(G, K, H)
+            if res.passed:
+                return FrobeniusDecomposition(K, H, product_is_whole=True)
+    return None
 
 
 def fixed_point_free(K: Subgroup, Phi: Subgroup) -> tuple[bool, str]:

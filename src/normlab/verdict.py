@@ -17,6 +17,15 @@ ALL_STATUSES = (
 )
 
 
+def status_counts(reports: list[VerdictReport], statuses: tuple[str, ...] = ()) -> dict[str, int]:
+    """Report count per status: the given statuses first (zero-filled), then
+    any other status in the order it first appears."""
+    counts = dict.fromkeys(statuses, 0)
+    for r in reports:
+        counts[r.status] = counts.get(r.status, 0) + 1
+    return counts
+
+
 @dataclass
 class Check:
     """One named pass/fail with enough witness data to replay a failure."""

@@ -14,11 +14,23 @@ def run_cli(args, capsys):
 
 
 def test_analyze_s4(capsys):
-    code, out, _ = run_cli(["analyze", "--group", "S:4"], capsys)
+    code, out, _ = run_cli(["analyze", "--group", "S:4", "--subgroup", "syl:2"], capsys)
     assert code == 0
-    assert "order: 24" in out
-    assert "solvable: True" in out
-    assert "fitting_length: 3" in out
+    assert out.splitlines() == [
+        "analyze S:4:",
+        "  order: 24",
+        "  degree: 4",
+        "  solvable: True",
+        "  nilpotent: False",
+        "  fitting_order: 4",
+        "  fitting_length: 3",
+        "  center_order: 1",
+        "  minimal_normal_orders: [4]",
+        "  simple: False",
+        "  frobenius: None",
+        "  subgroup: 8:(3 4),(1 2),(1 3)(2 4)",
+        "  subgroup_order: 8",
+    ]
 
 
 def test_analyze_psl217_json(capsys):
@@ -143,6 +155,15 @@ def test_scan_cli_writes_document(tmp_path, capsys):
     assert doc["summary"]["maximal_normalizer_hits"] == 7
     # one log line per report plus the summary line
     assert len(out.strip().splitlines()) == len(doc["reports"]) + 1
+
+
+def test_scan_cli_json_format_prints_document(tmp_path, capsys):
+    out_path = tmp_path / "scan.json"
+    code, out, _ = run_cli(
+        ["scan", "--group", "S:3", "--format", "json", "--out", str(out_path)], capsys
+    )
+    assert code == 0
+    assert json.loads(out) == json.loads(out_path.read_text())
 
 
 def test_scan_cli_empty(tmp_path, capsys):

@@ -154,6 +154,15 @@ def test_from_element_tuples_roundtrip(d4):
     assert rebuilt.element_tuples() == d4.element_tuples()
 
 
+def test_sorted_element_tuples_is_one_cached_list(s4, d4):
+    ordered = s4.sorted_element_tuples()
+    assert ordered == sorted(s4.element_tuples())
+    assert s4.sorted_element_tuples() is ordered
+    # from_element_tuples sorts its input once and keeps that list
+    rebuilt = Group.from_element_tuples(4, d4.element_tuples())
+    assert rebuilt._cache["sorted_elements"] == sorted(d4.element_tuples())
+
+
 def test_catalog_chain_order_matches_closure_oracle():
     for spec in default_sweep(max_order=200):
         G, _ = build(spec)
