@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .arith import is_prime, smallest_primitive_root
 from .errors import (
     InvalidParameter,
+    NotASubgroup,
     NotPrime,
     ParseError,
     SubgroupNotContained,
@@ -193,7 +194,7 @@ def select_subgroup(G: Group, selector: str) -> Subgroup:
             gens.append(perm_from_cycles(G.degree, cycles))
         try:
             return subgroup(G, gens)
-        except Exception:
+        except NotASubgroup:
             raise SubgroupNotContained(
                 f"selector generators do not lie in the group: {selector!r}"
             ) from None

@@ -139,7 +139,7 @@ def _analysis(spec, G, H) -> dict:
     return analysis
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args, argv: list[str]) -> int:
     started = time.perf_counter()
     spec = parse_spec(args.group)
     G, H = build(spec)
@@ -158,7 +158,7 @@ def cmd_analyze(args) -> int:
             f"  {key}: {value}" for key, value in analysis.items() if key != "group"
         ])
     elapsed = time.perf_counter() - started
-    doc = report_document(list(sys.argv[1:]), reports, {}, elapsed, analysis=analysis)
+    doc = report_document(argv, reports, {}, elapsed, analysis=analysis)
     _emit(doc, args.format, args.out, human)
     return _exit_code_for(reports)
 
@@ -172,7 +172,7 @@ def _parse_mode(raw: str) -> str:
     return value
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, argv: list[str]) -> int:
     started = time.perf_counter()
     theorem = args.theorem
     if theorem not in VERIFY_THEOREMS:
@@ -208,14 +208,14 @@ def cmd_verify(args) -> int:
         report = skip_report(theorem, subject, str(exc), mode)
     report.subject.setdefault("group", str(spec))
     elapsed = time.perf_counter() - started
-    doc = report_document(list(sys.argv[1:]), [report], {}, elapsed)
+    doc = report_document(argv, [report], {}, elapsed)
     _emit(doc, args.format, args.out, _render_report(report))
     return _exit_code_for([report])
 
 
-def cmd_scan(args) -> int:
+def cmd_scan(args, argv: list[str]) -> int:
     started = time.perf_counter()
-    if args.group and not args.sweep:
+    if args.group:
         specs = [parse_spec(g) for g in args.group]
     else:
         specs = default_sweep(args.max_order)
@@ -233,7 +233,7 @@ def cmd_scan(args) -> int:
         jobs=args.jobs,
     )
     elapsed = time.perf_counter() - started
-    doc = report_document(list(sys.argv[1:]), reports, summary, elapsed)
+    doc = report_document(argv, reports, summary, elapsed)
     out_path = args.out or "normlab-scan.json"
     lines = []
     for r in reports:
@@ -281,10 +281,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="scan catalog groups for theorem verdicts")
-    p_scan.add_argument("--sweep", choices=("default",), default=None,
-                        help="use the built-in sweep (implied when no --group is given)")
     p_scan.add_argument("--group", action="append", default=[],
-                        help="group spec; repeatable")
+                        help="group spec; repeatable (default: the built-in sweep)")
     p_scan.add_argument("--max-order", type=int, default=2500)
     p_scan.add_argument("--theorems", default="",
                         help="comma list from: " + ", ".join(THEOREM_NAMES))
@@ -298,6 +296,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
@@ -305,7 +304,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.enum_bound is not None:
             limits = replace(limits, enum_bound=parse_enum_bound(args.enum_bound, "--enum-bound"))
         set_limits(limits)
-        return args.func(args)
+        return args.func(args, argv)
     except NormlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -37,8 +37,8 @@ class NotNormal(NormlabError):
     pass
 
 
-class IndexTooLarge(NormlabError):
-    pass
+class IndexTooLarge(OrderTooLarge):
+    """A coset action needed more points than the active index bound allows."""
 
 
 class InvalidPrime(NormlabError):

@@ -1,6 +1,6 @@
 """Resource bounds for operations that enumerate elements or subgroups.
 
-Operations that would exceed a bound raise ``OrderTooLarge`` (or
+Operations that would exceed a bound raise ``OrderTooLarge`` (its subclass
 ``IndexTooLarge`` for coset actions) instead of silently degrading.
 The active limits are process-global; scan workers run in separate
 processes and install their own copy.

@@ -98,7 +98,7 @@ def scan_group(
         try:
             ctx = maximal_normalizer_context(G, H)
             hit_modes = [m for m in modes if ctx.result(m).passed]
-        except NormlabError as exc:
+        except OrderTooLarge as exc:
             reports.append(skip_report("maximal-normalizer", subject, str(exc)))
             continue
         if not hit_modes:
@@ -108,7 +108,7 @@ def scan_group(
             for thm in theorems:
                 try:
                     rep = VERIFIERS[thm](G, H, mode, ctx)
-                except NormlabError as exc:
+                except OrderTooLarge as exc:
                     rep = skip_report(thm, dict(subject), str(exc), mode)
                 rep.subject.update(subject)
                 reports.append(rep)

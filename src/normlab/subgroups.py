@@ -305,7 +305,8 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
     subgroups of prime-power order (the same fixed point as closing under
     all pairwise joins, since every subgroup is generated by its elements
     of prime-power order). Work happens once per conjugacy class of
-    subgroups; classes are then expanded by conjugation.
+    subgroups: each new class is entered whole as the conjugation orbit of
+    its representative, and only representatives keep generators.
     """
 
     def compute():
@@ -321,8 +322,7 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
         half_cap = n // 2
         gen_tuples = [g for g in G.generator_tuples if g != ident]
 
-        subs: dict[frozenset, tuple] = {frozenset([ident]): ()}
-        cyclics: list[tuple[frozenset, tuple[int, ...]]] = []
+        cyclics: dict[frozenset, tuple[int, ...]] = {}  # key -> first generator met
         for t in G.sorted_element_tuples():
             if t == ident:
                 continue
@@ -331,48 +331,34 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
             while x != ident:
                 powers.append(x)
                 x = compose_tuples(x, t)
-            key = frozenset(powers)
-            if key not in subs:
-                subs[key] = (t,)
-                cyclics.append((key, t))
-        pp_cyclics = [(s, g) for (s, g) in cyclics if is_prime_power(len(s))]
+            cyclics.setdefault(frozenset(powers), t)
+        pp_gens = [t for key, t in cyclics.items() if is_prime_power(len(key))]
 
-        classed: set[frozenset] = set()  # keys whose whole conjugacy class is in subs
+        def conjugate_key(key: frozenset, g: tuple[int, ...]) -> frozenset:
+            return frozenset(conjugate_tuple(x, g) for x in key)
 
-        def expand_class(key: frozenset) -> None:
-            """Enter every conjugate of key into subs, with conjugated generators."""
-            class_keys = [key]
-            classed.add(key)
-            for k in class_keys:
-                k_gens = subs[k]
-                for g in gen_tuples:
-                    ck = frozenset(conjugate_tuple(x, g) for x in k)
-                    if ck not in classed:
-                        classed.add(ck)
-                        class_keys.append(ck)
-                        if ck not in subs:
-                            subs[ck] = tuple(conjugate_tuple(x, g) for x in k_gens)
+        found: set[frozenset] = set()  # every subgroup met, whole classes only
+        reps: list[tuple[frozenset, list[tuple[int, ...]]]] = []  # one per class
 
-        # one representative per class; subs only ever holds whole classes
-        # (cyclic subgroups conjugate to cyclic ones), so a new join starts a
-        # new class
-        pending: list[frozenset] = []
-        for key in [frozenset([ident])] + [key for key, _ in cyclics]:
-            if key not in classed:
-                expand_class(key)
-                pending.append(key)
-        for X in pending:
-            X_gens = list(subs[X])
-            for cset, cgen in pp_cyclics:
+        def enter_class(key: frozenset, gens: list[tuple[int, ...]]) -> None:
+            found.update(orbit(key, gen_tuples, conjugate_key))
+            reps.append((key, gens))
+
+        enter_class(frozenset([ident]), [])
+        for key, t in cyclics.items():
+            if key not in found:
+                enter_class(key, [t])
+        # found holds whole classes (cyclic subgroups conjugate to cyclic
+        # ones), so a join not in it starts a new class
+        for X, X_gens in reps:
+            for cgen in pp_gens:
                 if cgen in X:
                     continue
                 J = dimino_extend(X, X_gens, [cgen], cap=half_cap, full_set=full)
                 Jkey = J if isinstance(J, frozenset) else frozenset(J)
-                if Jkey not in subs:
-                    subs[Jkey] = tuple(X_gens) + (cgen,)
-                    expand_class(Jkey)
-                    pending.append(Jkey)
-        built = [Subgroup(G, Group.from_element_tuples(degree, key)) for key in subs]
+                if Jkey not in found:
+                    enter_class(Jkey, X_gens + [cgen])
+        built = [Subgroup(G, Group.from_element_tuples(degree, key)) for key in found]
         return sorted(built, key=_subgroup_sort_key)
 
     return G.cached("subgroup_list", compute)

@@ -5,13 +5,16 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
+from normlab.cli import report_document
 from normlab.structure import is_solvable, sylow_subgroup
 from normlab.subgroups import (
     Subgroup,
@@ -165,6 +168,18 @@ def test_criterion_5_default_sweep(sweep_results):
         ok,
         f"{hits} hits, statuses {summary['status_counts']}, {elapsed:.1f}s",
     )
+
+
+def test_default_sweep_document_matches_golden_digest(sweep_results):
+    # the refactor gate: the default-sweep document is byte-identical to the
+    # benchmark's recorded one, apart from elapsed_s fields and invocation
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.py"
+    spec = importlib.util.spec_from_file_location("perfbench_golden", path)
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    reports, summary, _ = sweep_results
+    got = golden.digest(report_document([], reports, summary, 0.0))
+    assert got == golden.load()["sweep:merged"]["digest"]
 
 
 def test_criterion_6_intro_suite(sweep_results):

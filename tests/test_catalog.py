@@ -2,16 +2,19 @@ from __future__ import annotations
 
 import pytest
 
+from normlab import catalog
 from normlab.arith import smallest_primitive_root
 from normlab.catalog import (
     build,
     default_sweep,
     parse_group_file,
     parse_spec,
+    select_subgroup,
 )
 from normlab.errors import (
     InvalidParameter,
     NotPrime,
+    OrderTooLarge,
     ParseError,
     SubgroupNotContained,
 )
@@ -124,6 +127,16 @@ def test_gens_selector(s4):
 def test_gens_selector_not_contained():
     with pytest.raises(SubgroupNotContained):
         build(parse_spec("A:4", selector="gens:(1 2)"))
+
+
+def test_gens_selector_lets_other_errors_through(s3, monkeypatch):
+    # only a generator outside the group means "not contained"
+    def bound_hit(G, gens):
+        raise OrderTooLarge("bound hit while building the subgroup")
+
+    monkeypatch.setattr(catalog, "subgroup", bound_hit)
+    with pytest.raises(OrderTooLarge):
+        select_subgroup(s3, "gens:(1 2)")
 
 
 # -- group files ---------------------------------------------------------------

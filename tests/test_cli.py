@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from normlab.cli import main
 
 
@@ -276,6 +278,43 @@ def test_analyze_over_bound_is_skipped(capsys):
         assert report["subject"] == {"group": "S:10", "group_order": 3628800}
         assert "exceeds bound" in report["metadata"]["reason"]
         assert doc["summary"]["status_counts"] == {"skipped-too-large": 1}
+
+
+def test_coset_action_bound_is_skipped(capsys):
+    # the core is the C:2 factor, so the quotient's coset action has degree
+    # 9! = 362880, above the index bound: a skip report and exit 4
+    code, out, _ = run_cli(
+        ["verify", "comp22", "--group", "PROD(S:9,C:2)", "--subgroup", "gens:(10 11)|(1 2)",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 4
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "skipped-too-large"
+    assert report["metadata"]["reason"] == "coset action degree 362880 exceeds bound"
+
+
+def test_document_invocation_is_the_parsed_argv(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host-process", "--some-flag"])
+    out_path = str(tmp_path / "doc.json")
+    for argv in (
+        ["analyze", "--group", "S:3", "--out", out_path],
+        ["verify", "comp22", "--group", "S:4", "--subgroup", "stab:4", "--out", out_path],
+        ["scan", "--group", "S:3", "--out", out_path],
+    ):
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        with open(out_path, encoding="utf-8") as fh:
+            assert json.load(fh)["invocation"] == argv
+
+
+def test_scan_has_no_sweep_option(tmp_path, capsys):
+    # the default sweep runs when no --group is given; there is no flag for it
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--sweep", "default", "--group", "S:3", "--max-order", "6",
+              "--out", str(tmp_path / "scan.json")])
+    assert exc.value.code == 2
+    assert "--sweep" in capsys.readouterr().err
 
 
 def test_entrypoint_runs():

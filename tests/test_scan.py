@@ -1,9 +1,16 @@
 from __future__ import annotations
 
+import importlib
+
+import pytest
+
 from normlab.catalog import build, parse_spec
+from normlab.errors import NotNormal
 from normlab.scan import intro_suite, scan, scan_group
 from normlab.subgroups import enumerate_subgroups
 from normlab.verdict import VerdictReport
+
+scan_module = importlib.import_module("normlab.scan")  # the package exports a scan function
 
 
 def _scrub(reports: list[VerdictReport]) -> list[dict]:
@@ -107,3 +114,18 @@ def test_scan_group_counts_pairs():
     ]
     _, stats = scan_group(parse_spec("S:4"))
     assert stats["pairs"] == len(proper_non_normal) == 26
+
+
+def test_scan_group_skips_only_bound_errors(monkeypatch):
+    # a skipped-too-large record stands for a resource bound; any other
+    # error is a fault and must surface
+    def not_a_bound(*args):
+        raise NotNormal("not a resource bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(scan_module, "maximal_normalizer_context", not_a_bound)
+        with pytest.raises(NotNormal):
+            scan_group(parse_spec("S:3"), intro=False)
+    monkeypatch.setitem(scan_module.VERIFIERS, "hall", not_a_bound)
+    with pytest.raises(NotNormal):
+        scan_group(parse_spec("S:3"), theorems=("hall",), intro=False)

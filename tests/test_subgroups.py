@@ -266,8 +266,9 @@ def test_subgroup_enumeration_matches_subset_scan():
 
 
 def test_subgroup_enumeration_matches_extension_oracle():
-    # independent single-element-extension oracle, orders up to 48
-    for name in ("S:4", "A:4", "D:6", "C:24", "PROD(S:3,C:2)", "PROD(D:4,C:2)", "PROD(S:4,C:2)"):
+    # independent single-element-extension oracle, orders up to 60
+    for name in ("S:4", "A:4", "A:5", "D:6", "C:24", "PROD(S:3,C:2)", "PROD(D:4,C:2)",
+                 "PROD(S:4,C:2)"):
         G, _ = build(parse_spec(name))
         subs = enumerate_subgroups(G)
         oracle = brute_subgroups_extension(mulclose(list(G.generators), G.degree))

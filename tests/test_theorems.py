@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from normlab.catalog import build, parse_spec
@@ -9,6 +11,7 @@ from normlab.structure import fitting_subgroup, p_core, sylow_subgroup
 from normlab.subgroups import (
     Subgroup,
     conjugate_subgroup,
+    core,
     enumerate_subgroups,
     is_normal,
     subgroup,
@@ -18,6 +21,7 @@ from normlab.subgroups import (
 from normlab.theorems import (
     MODE_FIT_NORMAL,
     MODE_H_NORMAL,
+    MODES,
     fixed_point_free,
     frobenius_decomposition,
     is_dihedral_2group,
@@ -252,6 +256,39 @@ def test_hall_lemma_agl7():
     assert report.status == "confirmed"
     hall_check = next(c for c in report.conclusion_checks if c.name == "image-is-hall-subgroup")
     assert hall_check.passed
+
+
+def test_hall_image_checks_match_independent_rebuild():
+    # hall reads its two image checks off the pair's context; the oracle
+    # rebuilds them from core(Q, Hbar) and a fresh test on (Q, Hbar), for
+    # every hit pair, and compares with the report wherever H is nilpotent
+    compared = 0
+    for name in ("S:4", "AGL1:7", "PSL2:7"):
+        G, _ = build(parse_spec(name))
+        for H in enumerate_subgroups(G):
+            if H.order() == G.order() or is_normal(G, H):
+                continue
+            ctx = maximal_normalizer_context(G, H)
+            for mode in MODES:
+                mn = ctx.result(mode)
+                if not mn.passed:
+                    continue
+                inner_core = core(ctx.Q, ctx.Hbar)
+                inner = is_maximal_normalizer(ctx.Q, ctx.Hbar, mode)
+                assert inner_core.order() == 1
+                assert inner == replace(mn, core_order=1)
+                report = verify_hall_lemma(G, H, mode, ctx)
+                if not report.conclusion_checks:
+                    continue  # H is not nilpotent
+                got = {c.name: c.to_dict() for c in report.conclusion_checks}
+                assert got["image-core-free"] == {
+                    "name": "image-core-free", "passed": True, "witness": "core order 1",
+                }
+                check = inner.to_check()
+                check.name = "image-maximal-normalizer"
+                assert got["image-maximal-normalizer"] == check.to_dict()
+                compared += 1
+    assert compared == 20  # 6 in S:4, 14 in AGL1:7; no hit of PSL2:7 is nilpotent
 
 
 def test_rem23_psl217(psl2_17):
