@@ -11,7 +11,7 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, Iterator, Sequence
 
-from .errors import PointOutOfRange
+from .errors import InvariantViolated, PointOutOfRange
 from .perm import compose_tuples, identity_tuple, inverse_tuple
 
 __all__ = ["StabilizerChain", "build_chain"]
@@ -189,5 +189,6 @@ def build_chain(degree: int, generators: Sequence[Images], base_hint: tuple[int,
             _add_strong_generator(levels, ident, r, j)
     _complete(levels, ident)
     chain = StabilizerChain(degree, levels, ident)
-    assert all(chain.contains(g) for g in generators)
+    if not all(chain.contains(g) for g in generators):
+        raise InvariantViolated("stabilizer chain misses one of its generators")
     return chain

@@ -25,6 +25,11 @@ class OrderTooLarge(NormlabError):
     """An operation needed to enumerate more elements than the active bound allows."""
 
 
+class InvariantViolated(NormlabError):
+    """A computed result failed the check that guards it: a fault in normlab,
+    not in its input."""
+
+
 class AmbientMismatch(NormlabError):
     pass
 

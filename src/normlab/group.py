@@ -13,7 +13,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .chain import StabilizerChain, build_chain
 from .closure import act_on_point, dimino_extend, orbit
-from .errors import DegreeMismatch, EmptyDegree, OrderTooLarge, PointOutOfRange
+from .errors import DegreeMismatch, EmptyDegree, InvariantViolated, OrderTooLarge, PointOutOfRange
 from .limits import get_limits
 from .perm import Perm, conjugate_tuple, identity_tuple
 
@@ -170,7 +170,8 @@ class Group:
         elem_set = group._cache["elements"] = frozenset(elems)
         group._cache["order"] = len(elem_set)
         gens, closed = _canonical_generators(degree, group.sorted_element_tuples())
-        assert len(closed) == len(elem_set)
+        if len(closed) != len(elem_set):
+            raise InvariantViolated("element set is not closed under multiplication")
         group.generator_tuples = group._cache["canonical_gens"] = tuple(gens)
         return group
 

@@ -12,7 +12,7 @@ import multiprocessing
 
 from .arith import is_prime, p_part, primes_dividing
 from .catalog import GroupSpec, build, parse_spec
-from .errors import NormlabError, OrderTooLarge
+from .errors import OrderTooLarge
 from .group import Group
 from .limits import get_limits, set_limits
 from .perm import compose_tuples
@@ -33,6 +33,7 @@ from .subgroups import (
     fingerprint,
     is_normal,
     normalizer,
+    subgroup_classes,
 )
 from .theorems import (
     MODES,
@@ -87,11 +88,21 @@ def scan_group(
         stats["skipped_groups"] = 1
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
+    # whether H passes the test in a mode does not change under conjugation
+    # in G, so once one member of a class misses in every mode the rest are
+    # counted without a context; hits need their own context for the reports
+    class_of = {
+        key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members
+    }
+    missed: set[int] = set()
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
     ]
     for H in candidates:
         stats["pairs"] += 1
+        cls = class_of[H.carrier.element_tuples()]
+        if cls in missed:
+            continue
         subject = dict(base_subject)
         subject["subgroup"] = fingerprint(H)
         subject["subgroup_order"] = H.order()
@@ -102,6 +113,7 @@ def scan_group(
             reports.append(skip_report("maximal-normalizer", subject, str(exc)))
             continue
         if not hit_modes:
+            missed.add(cls)
             continue
         stats["hits"] += 1
         for mode in hit_modes:
@@ -116,7 +128,7 @@ def scan_group(
     # Frobenius decompositions feed the complement-structure checks
     try:
         dec = frobenius_decomposition(G)
-    except NormlabError:
+    except OrderTooLarge:
         dec = None
     if dec is not None:
         rb = verify_burnside_complement(

@@ -13,6 +13,7 @@ from .arith import is_prime, is_prime_power, p_part, p_valuation, primes_dividin
 from .errors import (
     IndexTooLarge,
     InvalidPrime,
+    InvariantViolated,
     NotASubgroup,
     NotNilpotent,
     NotNormal,
@@ -151,8 +152,10 @@ def fitting_subgroup(G: Group) -> Subgroup:
         result = trivial_subgroup(G)
         for p in primes_dividing(G.order()):
             result = join(G, result, p_core(G, p))
-        assert is_normal(G, result)
-        assert is_nilpotent(result.carrier)
+        if not is_normal(G, result):
+            raise InvariantViolated("Fitting subgroup is not normal")
+        if not is_nilpotent(result.carrier):
+            raise InvariantViolated("Fitting subgroup is not nilpotent")
         return result
 
     return G.cached("fitting", compute)
@@ -192,14 +195,15 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
             if v:
                 seed = power_tuple(x, m // p**v)
                 break
-        assert seed is not None
+        if seed is None:
+            raise InvariantViolated(f"no element of order divisible by {p}")
         P = Group.from_generator_tuples(G.degree, (seed,))
         rounds = 0
         max_rounds = p_valuation(target, p) + 1
         while P.order() < target:
             rounds += 1
             if rounds > max_rounds:
-                raise AssertionError("Sylow growth failed to terminate")
+                raise InvariantViolated("Sylow growth failed to terminate")
             N = normalizer(G, Subgroup(G, P)).carrier
             z = None
             for y in N.sorted_element_tuples():
@@ -211,7 +215,8 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
                 if not P.contains_tuple(yp):
                     z = yp
                     break
-            assert z is not None, "normalizer of a non-Sylow p-subgroup must grow it"
+            if z is None:
+                raise InvariantViolated("normalizer of a non-Sylow p-subgroup must grow it")
             # reduce z so that z^p lands in P (image of order exactly p)
             w = z
             while not P.contains_tuple(power_tuple(w, p)):
@@ -294,7 +299,8 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
                 reps.append(t)
             edges[(qi, gi)] = j
         qi += 1
-    assert len(reps) == index
+    if len(reps) != index:
+        raise InvariantViolated(f"coset action found {len(reps)} cosets, not {index}")
 
     image_gens = [
         tuple(edges[(i, gi)] + 1 for i in range(index)) for gi in range(len(gen_tuples))
@@ -323,7 +329,6 @@ def is_p_nilpotent(G: Group, p: int) -> bool:
     def compute():
         parts = {power_tuple(g, p_part(order_of_tuple(g), p)) for g in G.element_tuples()}
         N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, parts)))
-        assert is_normal(G, N)
         return N.order() % p != 0
 
     return G.cached(("p_nilpotent", p), compute)

@@ -7,7 +7,7 @@ All functions are pure over immutable inputs.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import is_prime_power
 from .chain import build_chain
@@ -31,7 +31,9 @@ __all__ = [
     "center",
     "normalizer",
     "is_normal",
+    "SubgroupClass",
     "enumerate_subgroups",
+    "subgroup_classes",
     "minimal_normal_subgroups",
     "is_simple",
     "subgroup_le",
@@ -298,17 +300,38 @@ def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
 # -- subgroup enumeration ------------------------------------------------------
 
 
+class SubgroupClass(NamedTuple):
+    """One conjugacy class of subgroups: its representative, the
+    representative's normalizer and the element sets of all its members,
+    the representative's first."""
+
+    representative: Subgroup
+    normalizer: Subgroup
+    members: tuple[frozenset, ...]
+
+
 def enumerate_subgroups(G: Group) -> list[Subgroup]:
     """All subgroups, each exactly once, sorted by (order, element set).
 
-    Seeds with every cyclic subgroup and closes under joins with cyclic
-    subgroups of prime-power order (the same fixed point as closing under
-    all pairwise joins, since every subgroup is generated by its elements
-    of prime-power order). Work happens once per conjugacy class of
-    subgroups: each new class is entered whole as the conjugation orbit of
-    its representative, and only representatives keep generators.
+    The lattice is built one conjugacy class of subgroups at a time. Every
+    cyclic subgroup seeds a class, and each class representative X is joined
+    with the cyclic subgroups of prime-power order (the same fixed point as
+    closing under all pairwise joins, since every subgroup is generated by
+    its elements of prime-power order). Only one cyclic per N_G(X)-orbit is
+    joined: for n in N_G(X) the join of X with C^n is the join with C
+    conjugated by n. Each new class is entered whole as the conjugation
+    orbit of its representative; ``subgroup_classes`` returns the classes.
     """
+    return _lattice(G)[0]
 
+
+def subgroup_classes(G: Group) -> list[SubgroupClass]:
+    """The conjugacy classes of subgroups behind ``enumerate_subgroups``,
+    in the order the lattice met them (the trivial subgroup first)."""
+    return _lattice(G)[1]
+
+
+def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
     def compute():
         limits = get_limits()
         n = G.order()
@@ -323,6 +346,7 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
         gen_tuples = [g for g in G.generator_tuples if g != ident]
 
         cyclics: dict[frozenset, tuple[int, ...]] = {}  # key -> first generator met
+        cyclic_of: dict[tuple[int, ...], frozenset] = {}  # element -> key of <element>
         for t in G.sorted_element_tuples():
             if t == ident:
                 continue
@@ -331,37 +355,63 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
             while x != ident:
                 powers.append(x)
                 x = compose_tuples(x, t)
-            cyclics.setdefault(frozenset(powers), t)
-        pp_gens = [t for key, t in cyclics.items() if is_prime_power(len(key))]
+            cyclic_of[t] = key = frozenset(powers)
+            cyclics.setdefault(key, t)
+        pp_cyclics = [(key, t) for key, t in cyclics.items() if is_prime_power(len(key))]
 
         def conjugate_key(key: frozenset, g: tuple[int, ...]) -> frozenset:
             return frozenset(conjugate_tuple(x, g) for x in key)
 
+        def conjugate_cyclic(key: frozenset, g: tuple[int, ...]) -> frozenset:
+            return cyclic_of[conjugate_tuple(cyclics[key], g)]
+
         found: set[frozenset] = set()  # every subgroup met, whole classes only
-        reps: list[tuple[frozenset, list[tuple[int, ...]]]] = []  # one per class
+        classes: list[tuple[Subgroup, list[frozenset]]] = []  # representative, members
 
-        def enter_class(key: frozenset, gens: list[tuple[int, ...]]) -> None:
-            found.update(orbit(key, gen_tuples, conjugate_key))
-            reps.append((key, gens))
+        def enter_class(key: frozenset) -> None:
+            members = orbit(key, gen_tuples, conjugate_key)
+            found.update(members)
+            classes.append((Subgroup(G, Group.from_element_tuples(degree, key)), members))
 
-        enter_class(frozenset([ident]), [])
-        for key, t in cyclics.items():
+        enter_class(frozenset([ident]))
+        for key in cyclics:
             if key not in found:
-                enter_class(key, [t])
+                enter_class(key)
         # found holds whole classes (cyclic subgroups conjugate to cyclic
-        # ones), so a join not in it starts a new class
-        for X, X_gens in reps:
-            for cgen in pp_gens:
+        # ones), so a join not in it starts a new class. Cyclic orbits are
+        # kept per normalizer, as cyclic key -> its orbit's first key: many
+        # classes share a normalizer, the whole group for every normal one
+        cyclic_orbits: dict[frozenset, dict[frozenset, frozenset]] = {}
+        records: list[SubgroupClass] = []
+        for X_sub, members in classes:
+            X = X_sub.carrier.element_tuples()
+            X_gens = list(X_sub.carrier.generator_tuples)
+            NX = normalizer(G, X_sub)
+            records.append(SubgroupClass(X_sub, NX, tuple(members)))
+            orbit_of = cyclic_orbits.setdefault(NX.carrier.element_tuples(), {})
+            tried: set[frozenset] = set()  # N_G(X)-orbits of cyclics already joined
+            for ckey, cgen in pp_cyclics:
                 if cgen in X:
                     continue
+                if ckey not in orbit_of:
+                    N_gens = NX.carrier.generator_tuples
+                    orbit_of.update((k, ckey) for k in orbit(ckey, N_gens, conjugate_cyclic))
+                if orbit_of[ckey] in tried:
+                    continue
+                tried.add(orbit_of[ckey])
                 J = dimino_extend(X, X_gens, [cgen], cap=half_cap, full_set=full)
                 Jkey = J if isinstance(J, frozenset) else frozenset(J)
                 if Jkey not in found:
-                    enter_class(Jkey, X_gens + [cgen])
-        built = [Subgroup(G, Group.from_element_tuples(degree, key)) for key in found]
-        return sorted(built, key=_subgroup_sort_key)
+                    enter_class(Jkey)
+        built = []
+        for rec in records:
+            built.append(rec.representative)
+            built.extend(
+                Subgroup(G, Group.from_element_tuples(degree, key)) for key in rec.members[1:]
+            )
+        return sorted(built, key=_subgroup_sort_key), records
 
-    return G.cached("subgroup_list", compute)
+    return G.cached("subgroup_lattice", compute)
 
 
 # -- normal structure -----------------------------------------------------------

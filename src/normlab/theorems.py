@@ -14,7 +14,7 @@ from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
-from .errors import DoesNotNormalize, NormlabError, OrderTooLarge
+from .errors import DoesNotNormalize, OrderTooLarge
 from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
@@ -518,10 +518,12 @@ def verify_rem23(
                         "normalizer_order": NU.order(),
                     }
                     break
-        except NormlabError:
-            witness = None
-        report.metadata["strict_normalizer_witness"] = witness
-        report.metadata["strict_normalizer_violated"] = witness is None
+        except OrderTooLarge as exc:
+            # the search did not finish, so it claims nothing
+            report.metadata["strict_normalizer_skipped"] = str(exc)
+        else:
+            report.metadata["strict_normalizer_witness"] = witness
+            report.metadata["strict_normalizer_violated"] = witness is None
 
     if not all(c.passed for c in report.hypothesis_checks):
         return _finish(report, started)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from normlab.perm import Perm
+from normlab.arith import is_prime_power
+from normlab.closure import dimino_extend, orbit
+from normlab.perm import Perm, compose_tuples, conjugate_tuple, identity_tuple
 
 
 def mul(a: Perm, b: Perm) -> Perm:
@@ -83,6 +85,46 @@ def brute_subgroups_extension(elements: set[Perm]) -> set[frozenset[Perm]]:
                     found.add(K)
                     nxt.append(K)
         frontier = nxt
+    return found
+
+
+def lattice_by_cyclic_joins(G) -> set[frozenset[tuple[int, ...]]]:
+    """Element sets of all subgroups of G: each class representative joined
+    with every cyclic subgroup of prime-power order, each new class entered
+    whole as the conjugation orbit of its representative. The reference for
+    the library lattice, which joins only one cyclic per normalizer orbit."""
+    ident = identity_tuple(G.degree)
+    gens = [g for g in G.generator_tuples if g != ident]
+    full = orbit(ident, gens, compose_tuples)  # every element, without a chain
+    cyclics: dict[frozenset, tuple[int, ...]] = {}
+    for t in sorted(full):
+        powers = [ident]
+        x = t
+        while x != ident:
+            powers.append(x)
+            x = compose_tuples(x, t)
+        cyclics.setdefault(frozenset(powers), t)
+    pp_gens = [t for key, t in cyclics.items() if is_prime_power(len(key))]
+
+    def conjugate_key(key, g):
+        return frozenset(conjugate_tuple(x, g) for x in key)
+
+    found: set[frozenset] = set()
+    reps: list[tuple[frozenset, list[tuple[int, ...]]]] = []
+
+    def enter_class(key, key_gens):
+        found.update(orbit(key, gens, conjugate_key))
+        reps.append((key, key_gens))
+
+    for key, t in cyclics.items():
+        if key not in found:
+            enter_class(key, [t] if len(key) > 1 else [])
+    for X, X_gens in reps:
+        for cgen in pp_gens:
+            if cgen not in X:
+                J = frozenset(dimino_extend(X, X_gens, [cgen]))
+                if J not in found:
+                    enter_class(J, X_gens + [cgen])
     return found
 
 

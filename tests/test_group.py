@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -167,3 +169,19 @@ def test_catalog_chain_order_matches_closure_oracle():
     for spec in default_sweep(max_order=200):
         G, _ = build(spec)
         assert G.order() == brute_order(list(G.generators), G.degree), str(spec)
+
+
+def test_result_guard_holds_under_optimize():
+    # python -O strips assert statements; a guard on a result must still raise
+    code = (
+        "import normlab.group as g\n"
+        "from normlab.errors import InvariantViolated\n"
+        "g._canonical_generators = lambda degree, elems: ([], set())\n"
+        "try:\n"
+        "    g.Group.from_element_tuples(2, [(1, 2), (2, 1)])\n"
+        "except InvariantViolated as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised:")

@@ -4,10 +4,12 @@ import importlib
 
 import pytest
 
-from normlab.catalog import build, parse_spec
+from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import NotNormal
+from normlab.limits import get_limits
 from normlab.scan import intro_suite, scan, scan_group
-from normlab.subgroups import enumerate_subgroups
+from normlab.subgroups import enumerate_subgroups, is_normal, subgroup_classes
+from normlab.theorems import MODES, maximal_normalizer_context
 from normlab.verdict import VerdictReport
 
 scan_module = importlib.import_module("normlab.scan")  # the package exports a scan function
@@ -126,6 +128,34 @@ def test_scan_group_skips_only_bound_errors(monkeypatch):
         m.setattr(scan_module, "maximal_normalizer_context", not_a_bound)
         with pytest.raises(NotNormal):
             scan_group(parse_spec("S:3"), intro=False)
+    with monkeypatch.context() as m:
+        m.setattr(scan_module, "frobenius_decomposition", not_a_bound)
+        with pytest.raises(NotNormal):
+            scan_group(parse_spec("S:3"), theorems=(), intro=False)
     monkeypatch.setitem(scan_module.VERIFIERS, "hall", not_a_bound)
     with pytest.raises(NotNormal):
         scan_group(parse_spec("S:3"), theorems=("hall",), intro=False)
+
+
+def test_hit_modes_are_constant_on_subgroup_classes():
+    # the scan tests one member per class of subgroups and builds contexts
+    # only for hits; check both against a context for every pair
+    for spec in default_sweep(2500):
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
+        pairs = hits = 0
+        for cls in subgroup_classes(G):
+            rep = cls.representative
+            if rep.order() == G.order() or is_normal(G, rep):
+                continue
+            rep_ctx = maximal_normalizer_context(G, rep)
+            class_modes = [m for m in MODES if rep_ctx.result(m).passed]
+            for key in cls.members:
+                ctx = maximal_normalizer_context(G, by_key[key])
+                assert [m for m in MODES if ctx.result(m).passed] == class_modes, spec
+                pairs += 1
+                hits += bool(class_modes)
+        _, stats = scan_group(spec, theorems=(), intro=False)
+        assert (stats["pairs"], stats["hits"]) == (pairs, hits), spec

@@ -7,7 +7,7 @@ import pytest
 from normlab.catalog import build, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.limits import Limits, using_limits
-from normlab.perm import perm_from_cycles
+from normlab.perm import conjugate_tuple, perm_from_cycles
 from normlab.subgroups import (
     Subgroup,
     center,
@@ -22,6 +22,7 @@ from normlab.subgroups import (
     normal_closure,
     normalizer,
     subgroup,
+    subgroup_classes,
     subgroups_equal,
     trivial_subgroup,
     whole,
@@ -36,6 +37,7 @@ from oracles import (
     brute_subgroups_extension,
     brute_subgroups_subset_scan,
     filter_normalizer,
+    lattice_by_cyclic_joins,
     mulclose,
 )
 
@@ -275,6 +277,39 @@ def test_subgroup_enumeration_matches_extension_oracle():
         assert len(subs) == len(oracle), name
         got = {frozenset(S.carrier.sorted_elements()) for S in subs}
         assert got == oracle, name
+
+
+def test_subgroup_lattice_matches_every_cyclic_join_reference():
+    # groups where joining one cyclic per normalizer orbit skips joins
+    for name in ("S:5", "PSL2:7", "AGL1:13", "PROD(S:3,S:3)", "PROD(S:4,C:2)"):
+        G, _ = build(parse_spec(name))
+        subs = enumerate_subgroups(G)
+        got = [S.carrier.element_tuples() for S in subs]
+        assert len(set(got)) == len(got), name
+        assert set(got) == lattice_by_cyclic_joins(G), name
+
+
+def test_subgroup_classes_partition_the_lattice():
+    for name in ("S:4", "A:5", "AGL1:7", "PROD(S:3,C:2)"):
+        G, _ = build(parse_spec(name))
+        classes = subgroup_classes(G)
+        members = [key for cls in classes for key in cls.members]
+        assert len(members) == len(set(members)), name
+        assert set(members) == {S.carrier.element_tuples() for S in enumerate_subgroups(G)}
+        assert classes[0].representative.order() == 1
+        for cls in classes:
+            rep = cls.representative
+            assert cls.members[0] == rep.carrier.element_tuples()
+            assert _elements(cls.normalizer) == brute_normalizer(
+                set(G.elements()), _elements(rep)
+            )
+            # orbit-stabilizer: the class has [G : N_G(rep)] members
+            assert len(cls.members) * cls.normalizer.order() == G.order(), name
+            conjugates = {
+                frozenset(conjugate_tuple(h, g) for h in cls.members[0])
+                for g in G.element_tuples()
+            }
+            assert conjugates == set(cls.members), name
 
 
 def test_enumeration_respects_bound(psl2_17):

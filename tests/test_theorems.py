@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from normlab.catalog import build, parse_spec
+from normlab.catalog import build, parse_spec, select_subgroup
 from normlab.errors import DoesNotNormalize
+from normlab.limits import Limits, using_limits
 from normlab.perm import perm_from_cycles
 from normlab.structure import fitting_subgroup, p_core, sylow_subgroup
 from normlab.subgroups import (
@@ -310,6 +311,24 @@ def test_rem23_a5_strict_normalizer_witness(a5):
     witness = report.metadata["strict_normalizer_witness"]
     assert witness is not None
     assert witness["normalizer_order"] == 6
+    assert not report.metadata["strict_normalizer_violated"]
+
+
+def test_rem23_bound_in_witness_search_claims_no_violation():
+    # the search for U <= H with N(U) strictly between H and G stops at the
+    # lattice bound on H; an unfinished search must not say "violated"
+    G, _ = build(parse_spec("PROD(A:5,C:7)"))
+    selector = "gens:(1 2 3)|(6 7 8 9 10 11 12)"
+    with using_limits(Limits(subgroup_bound=10)):
+        report = verify_rem23(G, select_subgroup(G, selector))
+    assert report.metadata == {
+        "strict_normalizer_skipped": "subgroup enumeration needs order <= 10"
+    }
+    report = verify_rem23(G, select_subgroup(G, selector))
+    assert report.metadata["strict_normalizer_witness"] == {
+        "subgroup": "3:(1 2 3)",
+        "normalizer_order": 42,
+    }
     assert not report.metadata["strict_normalizer_violated"]
 
 
