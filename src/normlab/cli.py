@@ -3,7 +3,9 @@
 
 Exit codes: 0 success (including hypotheses-not-met), 2 usage or parse
 errors, 3 when a counterexample was verified, 4 when everything relevant
-was skipped as too large.
+was skipped as too large. An InvariantViolated is a fault in normlab, not in
+its input, so it is not turned into exit 2: it ends the process with a
+traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import replace
 
 from . import __version__
 from .catalog import build, default_sweep, parse_spec, select_subgroup
-from .errors import NormlabError, OrderTooLarge, UnknownTheorem
+from .errors import InvariantViolated, NormlabError, OrderTooLarge, UnknownTheorem
 from .limits import limits_from_env, parse_enum_bound, set_limits
 from .scan import THEOREM_NAMES, VERIFIERS, scan, skip_report
 from .structure import (
@@ -305,6 +307,8 @@ def main(argv: list[str] | None = None) -> int:
             limits = replace(limits, enum_bound=parse_enum_bound(args.enum_bound, "--enum-bound"))
         set_limits(limits)
         return args.func(args, argv)
+    except InvariantViolated:
+        raise
     except NormlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -301,12 +301,10 @@ def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
 
 
 class SubgroupClass(NamedTuple):
-    """One conjugacy class of subgroups: its representative, the
-    representative's normalizer and the element sets of all its members,
-    the representative's first."""
+    """One conjugacy class of subgroups: its representative and the element
+    sets of all its members, the representative's first."""
 
     representative: Subgroup
-    normalizer: Subgroup
     members: tuple[frozenset, ...]
 
 
@@ -346,7 +344,6 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         gen_tuples = [g for g in G.generator_tuples if g != ident]
 
         cyclics: dict[frozenset, tuple[int, ...]] = {}  # key -> first generator met
-        cyclic_of: dict[tuple[int, ...], frozenset] = {}  # element -> key of <element>
         for t in G.sorted_element_tuples():
             if t == ident:
                 continue
@@ -355,50 +352,38 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
             while x != ident:
                 powers.append(x)
                 x = compose_tuples(x, t)
-            cyclic_of[t] = key = frozenset(powers)
-            cyclics.setdefault(key, t)
+            cyclics.setdefault(frozenset(powers), t)
         pp_cyclics = [(key, t) for key, t in cyclics.items() if is_prime_power(len(key))]
 
         def conjugate_key(key: frozenset, g: tuple[int, ...]) -> frozenset:
             return frozenset(conjugate_tuple(x, g) for x in key)
 
-        def conjugate_cyclic(key: frozenset, g: tuple[int, ...]) -> frozenset:
-            return cyclic_of[conjugate_tuple(cyclics[key], g)]
-
         found: set[frozenset] = set()  # every subgroup met, whole classes only
-        classes: list[tuple[Subgroup, list[frozenset]]] = []  # representative, members
+        records: list[SubgroupClass] = []
 
         def enter_class(key: frozenset) -> None:
-            members = orbit(key, gen_tuples, conjugate_key)
+            members = tuple(orbit(key, gen_tuples, conjugate_key))
             found.update(members)
-            classes.append((Subgroup(G, Group.from_element_tuples(degree, key)), members))
+            rep = Subgroup(G, Group.from_element_tuples(degree, key))
+            records.append(SubgroupClass(rep, members))
 
         enter_class(frozenset([ident]))
         for key in cyclics:
             if key not in found:
                 enter_class(key)
         # found holds whole classes (cyclic subgroups conjugate to cyclic
-        # ones), so a join not in it starts a new class. Cyclic orbits are
-        # kept per normalizer, as cyclic key -> its orbit's first key: many
-        # classes share a normalizer, the whole group for every normal one
-        cyclic_orbits: dict[frozenset, dict[frozenset, frozenset]] = {}
-        records: list[SubgroupClass] = []
-        for X_sub, members in classes:
+        # ones), so a join not in it starts a new class; records grows while
+        # it is walked, as joins enter classes
+        for rec in records:
+            X_sub = rec.representative
             X = X_sub.carrier.element_tuples()
             X_gens = list(X_sub.carrier.generator_tuples)
-            NX = normalizer(G, X_sub)
-            records.append(SubgroupClass(X_sub, NX, tuple(members)))
-            orbit_of = cyclic_orbits.setdefault(NX.carrier.element_tuples(), {})
-            tried: set[frozenset] = set()  # N_G(X)-orbits of cyclics already joined
+            N_gens = normalizer(G, X_sub).carrier.generator_tuples
+            tried: set[frozenset] = set()  # cyclics in an N_G(X)-orbit already joined
             for ckey, cgen in pp_cyclics:
-                if cgen in X:
+                if cgen in X or ckey in tried:
                     continue
-                if ckey not in orbit_of:
-                    N_gens = NX.carrier.generator_tuples
-                    orbit_of.update((k, ckey) for k in orbit(ckey, N_gens, conjugate_cyclic))
-                if orbit_of[ckey] in tried:
-                    continue
-                tried.add(orbit_of[ckey])
+                tried.update(orbit(ckey, N_gens, conjugate_key))
                 J = dimino_extend(X, X_gens, [cgen], cap=half_cap, full_set=full)
                 Jkey = J if isinstance(J, frozenset) else frozenset(J)
                 if Jkey not in found:

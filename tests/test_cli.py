@@ -325,3 +325,24 @@ def test_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert "order: 6" in proc.stdout
+
+
+def test_invariant_violation_is_not_a_usage_error(capsys, monkeypatch):
+    # a failed result guard is a fault in normlab: it escapes main with its
+    # traceback, while any other NormlabError stays a one-line exit 2
+    import normlab.cli as cli_module
+    from normlab.errors import InvariantViolated, NotNormal
+
+    def fault(G):
+        raise InvariantViolated("Fitting subgroup is not normal")
+
+    def bad_input(G):
+        raise NotNormal("not normal")
+
+    monkeypatch.setattr(cli_module, "fitting_subgroup", fault)
+    with pytest.raises(InvariantViolated):
+        main(["analyze", "--group", "S:4"])
+    monkeypatch.setattr(cli_module, "fitting_subgroup", bad_input)
+    code, _, err = run_cli(["analyze", "--group", "S:4"], capsys)
+    assert code == 2
+    assert err == "error: not normal\n"
