@@ -59,10 +59,12 @@ def _extend_transversal(lvl: _Level) -> None:
 def _sift_from(levels: list[_Level], p: Images, i: int) -> tuple[Images, int]:
     while i < len(levels):
         lvl = levels[i]
-        entry = lvl.transversal.get(p[lvl.base - 1])
-        if entry is None:
-            return p, i
-        p = compose_tuples(p, entry[1])
+        img = p[lvl.base - 1]
+        if img != lvl.base:  # the base point's own entry is the identity
+            entry = lvl.transversal.get(img)
+            if entry is None:
+                return p, i
+            p = compose_tuples(p, entry[1])
         i += 1
     return p, len(levels)
 
@@ -154,6 +156,48 @@ class StabilizerChain:
                 yield from rec(idx - 1, compose_tuples(acc, lvl.transversal[pt][0]))
 
         yield from rec(len(self.levels) - 1, self.ident)
+
+    def walks_sorted(self) -> bool:
+        """True when ``iter_sorted_elements`` can walk this chain: the base
+        ascends and each level's stabilizer fixes every point below that
+        level's base point (as a base 1, 2, .., k always does)."""
+        bases = [lvl.base for lvl in self.levels]
+        return bases == sorted(bases) and all(
+            g[p - 1] == p for lvl in self.levels for g in lvl.gens for p in range(1, lvl.base)
+        )
+
+    def iter_sorted_elements(self) -> Iterator[Images]:
+        """Each element exactly once, in ascending image-tuple order.
+
+        Needs ``walks_sorted()``. An element is u_k * .. * u_1 with u_i from
+        level i's transversal, and its images of the points below level i's
+        base are fixed by u_1 .. u_(i-1) alone (the later factors fix those
+        points). So the children of a prefix, sorted as tuples, differ first
+        at that base's image, and a depth-first walk over sorted children is
+        the sorted order (Sims's lexicographic coset representatives). The
+        walk keeps an explicit stack of iterators, one per level; levels
+        with a trivial transversal are skipped.
+        """
+        if not self.walks_sorted():
+            raise InvariantViolated("sorted element walk needs an ascending base")
+        reps = [
+            [u for u, _ in lvl.transversal.values()]
+            for lvl in self.levels
+            if len(lvl.transversal) > 1
+        ]
+        if not reps:
+            yield self.ident
+            return
+        depth_of_leaves = len(reps)
+        stack = [iter(sorted(reps[0]))]
+        while stack:
+            prefix = next(stack[-1], None)
+            if prefix is None:
+                stack.pop()
+            elif len(stack) == depth_of_leaves:
+                yield prefix
+            else:
+                stack.append(iter(sorted([compose_tuples(u, prefix) for u in reps[len(stack)]])))
 
     def extended(self, new_gens: Iterable[Images]) -> "StabilizerChain":
         """A new chain for the group generated by this one plus new_gens."""

@@ -2,8 +2,8 @@
 
 A Group is immutable once constructed; the chain is built on first demand
 under a lock, so first use from concurrent workers is safe. Derived data
-(the element set and its sorted list, structural subgroups) is memoized on
-the instance.
+(the element set and its sorted list, the chain behind the sorted element
+stream, structural subgroups) is memoized on the instance.
 """
 
 from __future__ import annotations
@@ -131,6 +131,26 @@ class Group:
             cached = self._cache["sorted_elements"] = sorted(self.element_tuples())
         return cached
 
+    def sorted_element_stream(self) -> Iterator[tuple[int, ...]]:
+        """The elements as image tuples in the order of
+        ``sorted_element_tuples``, one at a time: neither the element set
+        nor the sorted list is built, so no enumeration bound applies.
+
+        The walk runs over the group's chain when its base allows it, and
+        otherwise over a second chain based at 1, 2, .., degree-1 (cached).
+        """
+        cached = self._cache.get("sorted_elements")
+        if cached is not None:
+            return iter(cached)
+        chain = self.cached("sorted_chain", self._sorted_walk_chain)
+        return chain.iter_sorted_elements()
+
+    def _sorted_walk_chain(self) -> StabilizerChain:
+        chain = self.chain
+        if chain.walks_sorted():
+            return chain
+        return self.chain_with_base(tuple(range(1, self.degree)))
+
     def sorted_elements(self) -> list[Perm]:
         return [Perm(t, _checked=True) for t in self.sorted_element_tuples()]
 
@@ -151,14 +171,24 @@ class Group:
         return Group.from_generator_tuples(self.degree, gens)
 
     def conjugacy_class_reps(self) -> list[Perm]:
-        """One representative per conjugacy class, smallest tuple first."""
+        """The smallest tuple of each conjugacy class, in ascending order.
+
+        Walks the sorted element stream and stops once the classes met cover
+        the group; the classes are held as element sets, so the order must
+        stay under the enumeration bound."""
+        order = self.order()
+        bound = get_limits().enum_bound
+        if order > bound:
+            raise OrderTooLarge(f"group order {order} exceeds bound {bound}")
         gens = self.generator_tuples
         seen: set[tuple[int, ...]] = set()
         reps: list[Perm] = []
-        for t in self.sorted_element_tuples():
+        for t in self.sorted_element_stream():
             if t not in seen:
                 reps.append(Perm(t, _checked=True))
                 seen.update(orbit(t, gens, conjugate_tuple))
+                if len(seen) == order:
+                    break
         return reps
 
     # -- construction helpers ------------------------------------------------

@@ -189,7 +189,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
         if target == 1:
             return trivial_subgroup(G)
         seed = None
-        for x in G.sorted_element_tuples():
+        for x in G.sorted_element_stream():
             m = order_of_tuple(x)
             v = p_valuation(m, p)
             if v:
@@ -206,7 +206,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
                 raise InvariantViolated("Sylow growth failed to terminate")
             N = normalizer(G, Subgroup(G, P)).carrier
             z = None
-            for y in N.sorted_element_tuples():
+            for y in N.sorted_element_stream():
                 m = order_of_tuple(y)
                 v = p_valuation(m, p)
                 if v == 0:

@@ -7,10 +7,11 @@ All functions are pure over immutable inputs.
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from typing import NamedTuple, Sequence
 
-from .arith import is_prime_power
-from .chain import build_chain
+from .arith import is_prime, is_prime_power
+from .chain import StabilizerChain, build_chain
 from .closure import act_on_point, dimino_extend, orbit
 from .errors import AmbientMismatch, NotASubgroup, OrderTooLarge
 from .group import Group, trivial_group
@@ -189,7 +190,9 @@ def core(ambient: Group, H: Subgroup) -> Subgroup:
 
 
 def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
-    """Elements of the ambient group commuting with every element of A."""
+    """Elements of the ambient group commuting with every element of A, by a
+    backtrack over the stabilizer chain; the result is built as an element
+    set, so the ambient order stays under the enumeration bound."""
     _check_ambient(ambient, A)
     bound = get_limits().enum_bound
     if ambient.order() > bound:
@@ -198,12 +201,50 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     targets = [g for g in A.carrier.generator_tuples if g != ident]
     if not targets:
         return whole(ambient)
-    cent = {
-        t
-        for t in ambient.element_tuples()
-        if all(compose_tuples(t, h) == compose_tuples(h, t) for h in targets)
-    }
+    cent = _centralizer_backtrack(ambient.chain, targets)
     return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent))
+
+
+def _centralizer_backtrack(
+    chain: StabilizerChain, targets: list[tuple[int, ...]]
+) -> list[tuple[int, ...]]:
+    """The chain's elements that commute with every target.
+
+    Once levels 0..i are chosen, the prefix m fixes the images of the base
+    points b_0..b_i. A centralizing element c has c(h(x)) = h(c(x)), so for
+    every target h and assigned base point x with h(x) also assigned,
+    m(h(x)) must equal h(m(x)); each level checks the pairs that its base
+    point completes. The full commuting test runs at the leaves.
+    """
+    levels = chain.levels
+    if not levels:
+        return [chain.ident]
+    bases = [lvl.base for lvl in levels]
+    checks = []
+    for i, b in enumerate(bases):
+        assigned = set(bases[: i + 1])
+        checks.append([
+            (h, x, h[x - 1])
+            for h in targets
+            for x in assigned
+            if h[x - 1] in assigned and b in (x, h[x - 1])
+        ])
+    transversals = [[u for u, _ in lvl.transversal.values()] for lvl in levels]
+    n_levels = len(levels)
+    found: list[tuple[int, ...]] = []
+
+    def dfs(i: int, m: tuple[int, ...]) -> None:
+        if i == n_levels:
+            if all(compose_tuples(m, h) == compose_tuples(h, m) for h in targets):
+                found.append(m)
+            return
+        for u in transversals[i]:
+            m2 = compose_tuples(u, m)
+            if all(m2[hx - 1] == h[m2[x - 1] - 1] for h, x, hx in checks[i]):
+                dfs(i + 1, m2)
+
+    dfs(0, chain.ident)
+    return found
 
 
 def center(G: Group) -> Subgroup:
@@ -229,7 +270,9 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
     _check_ambient(ambient, H)
     bound = get_limits().enum_bound
     if ambient.order() > bound:
-        raise OrderTooLarge(f"normalizer search needs ambient order <= {bound}")
+        raise OrderTooLarge(
+            f"normalizer search: group order {ambient.order()} exceeds bound {bound}"
+        )
     if H.order() == 1:
         return whole(ambient)
     if is_normal(ambient, H):
@@ -403,16 +446,18 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
 
 
 def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
-    """Inclusion-minimal non-trivial normal subgroups.
+    """Inclusion-minimal non-trivial normal subgroups, sorted by order and
+    then by element list.
 
-    Candidates are normal closures of single elements, one per conjugacy
-    class (the closure only depends on the class).
+    Candidates are normal closures of single elements of prime order, one
+    per conjugacy class (the closure only depends on the class): a minimal
+    normal subgroup is the closure of any of its elements of prime order.
     """
 
     def compute():
         closures: list[Subgroup] = []
         for rep in G.conjugacy_class_reps():
-            if rep.is_identity():
+            if not is_prime(rep.order()):
                 continue
             N = normal_closure(G, subgroup(G, [rep], check=False))
             if not any(subgroups_equal(N, M) for M in closures):
@@ -424,9 +469,20 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
                 M.order() < N.order() and subgroup_le(M, N) for M in closures
             )
         ]
-        return sorted(minimal, key=_subgroup_sort_key)
+        return sorted(minimal, key=cmp_to_key(_compare_element_streams))
 
     return G.cached("minimal_normals", compute)
+
+
+def _compare_element_streams(A: Subgroup, B: Subgroup) -> int:
+    """Order first, then the sorted element lists, read lazily from the
+    streams only when the orders tie."""
+    if A.order() != B.order():
+        return -1 if A.order() < B.order() else 1
+    for a, b in zip(A.carrier.sorted_element_stream(), B.carrier.sorted_element_stream()):
+        if a != b:
+            return -1 if a < b else 1
+    return 0
 
 
 def is_simple(G: Group) -> bool:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import normlab
 from normlab.catalog import build, parse_spec
 from normlab.group import Group
 from normlab.limits import get_limits, set_limits
@@ -18,6 +20,16 @@ def _restore_limits():
     saved = get_limits()
     yield
     set_limits(saved)
+
+
+@pytest.fixture
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports this normlab, also
+    when the tests found it through pytest's pythonpath setting only."""
+    src = str(Path(normlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture

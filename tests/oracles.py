@@ -161,6 +161,33 @@ def brute_center(ambient: set[Perm]) -> set[Perm]:
     return brute_centralizer(ambient, ambient)
 
 
+def brute_class_reps(ambient: set[Perm]) -> list[tuple[int, ...]]:
+    """The smallest image tuple of each conjugacy class, ascending."""
+    reps = []
+    seen: set[Perm] = set()
+    for x in sorted(ambient):
+        if x not in seen:
+            reps.append(x.images)
+            seen.update(conj(x, g) for g in ambient)
+    return reps
+
+
+def brute_minimal_normals(ambient: set[Perm], degree: int) -> list[frozenset[Perm]]:
+    """Inclusion-minimal non-trivial normal subgroups: the minimal ones among
+    the subgroups generated by single conjugacy classes, sorted by order and
+    then by sorted element list."""
+    closures: set[frozenset[Perm]] = set()
+    seen: set[Perm] = set()
+    for x in sorted(ambient):
+        if x in seen or x.is_identity():
+            continue
+        cls = {conj(x, g) for g in ambient}
+        seen.update(cls)
+        closures.add(frozenset(mulclose(sorted(cls), degree)))
+    minimal = [N for N in closures if not any(M < N for M in closures)]
+    return sorted(minimal, key=lambda N: (len(N), sorted(N)))
+
+
 def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
     """Largest normal subgroup inside H: elements whose whole class stays in H."""
     return {h for h in H if all(conj(h, g) in H for g in ambient)}

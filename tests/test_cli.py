@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from normlab.cli import main
+from normlab.group import Group
 
 
 def run_cli(args, capsys):
@@ -280,6 +281,28 @@ def test_analyze_over_bound_is_skipped(capsys):
         assert doc["summary"]["status_counts"] == {"skipped-too-large": 1}
 
 
+def test_large_groups_are_not_enumerated(capsys, monkeypatch):
+    # the Sylow seed, class representatives, centre and the order of the
+    # minimal normal subgroups come from the chain and the sorted element
+    # stream: no group above order 10 000 has its element set built
+    built = []
+    element_tuples = Group.element_tuples
+
+    def recording(self):
+        if "elements" not in self._cache:
+            built.append(self.order())
+        return element_tuples(self)
+
+    monkeypatch.setattr(Group, "element_tuples", recording)
+    for argv in (
+        ["analyze", "--group", "S:9"],
+        ["verify", "comp22", "--group", "PSL2:31", "--subgroup", "syl:2"],
+    ):
+        code, _, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert [n for n in built if n > 10_000] == [], argv
+
+
 def test_coset_action_bound_is_skipped(capsys):
     # the core is the C:2 factor, so the quotient's coset action has degree
     # 9! = 362880, above the index bound: a skip report and exit 4
@@ -317,11 +340,12 @@ def test_scan_has_no_sweep_option(tmp_path, capsys):
     assert "--sweep" in capsys.readouterr().err
 
 
-def test_entrypoint_runs():
+def test_entrypoint_runs(subprocess_env):
     proc = subprocess.run(
         [sys.executable, "-m", "normlab.cli", "analyze", "--group", "S:3"],
         capture_output=True,
         text=True,
+        env=subprocess_env,
     )
     assert proc.returncode == 0
     assert "order: 6" in proc.stdout

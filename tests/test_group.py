@@ -3,16 +3,23 @@ from __future__ import annotations
 import random
 import subprocess
 import sys
+from itertools import islice, permutations
 
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import DegreeMismatch, EmptyDegree, OrderTooLarge, PointOutOfRange
+from normlab.errors import (
+    DegreeMismatch,
+    EmptyDegree,
+    InvariantViolated,
+    OrderTooLarge,
+    PointOutOfRange,
+)
 from normlab.group import Group, trivial_group
 from normlab.limits import Limits, using_limits
 from normlab.perm import Perm, perm_from_cycles
 
-from oracles import brute_order, mulclose
+from oracles import brute_class_reps, brute_order, mulclose
 
 
 def test_s4_order(s4):
@@ -150,6 +157,55 @@ def test_conjugacy_class_reps(s4):
     assert len(reps) == 5  # cycle types of S4
 
 
+# groups whose default chain base is not 1, 2, .. among them
+STREAM_SPECS = ("S:5", "PSL2:7", "AGL1:13", "PROD(S:3,S:3)", "PROD(PSL2:7,S:4)")
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS)
+def test_sorted_element_stream_matches_closure_oracle(spec):
+    G, _ = build(parse_spec(spec))
+    oracle = sorted(p.images for p in mulclose(list(G.generators), G.degree))
+    assert list(G.sorted_element_stream()) == oracle
+    # the stream builds neither the element set nor the sorted list
+    assert "elements" not in G._cache and "sorted_elements" not in G._cache
+    assert list(G.sorted_element_stream()) == G.sorted_element_tuples()
+
+
+@pytest.mark.parametrize("spec", STREAM_SPECS)
+def test_conjugacy_class_reps_match_oracle(spec):
+    G, _ = build(parse_spec(spec))
+    closure = mulclose(list(G.generators), G.degree)
+    assert [r.images for r in G.conjugacy_class_reps()] == brute_class_reps(closure)
+    assert "elements" not in G._cache
+
+
+def test_sorted_element_stream_above_the_bound():
+    # S:10 is above the default enumeration bound; its stream still starts
+    # at once, and for S:n the sorted order is the order of permutations()
+    G, _ = build(parse_spec("S:10"))
+    first = list(islice(G.sorted_element_stream(), 2000))
+    assert first == list(islice(permutations(range(1, 11)), 2000))
+    assert "elements" not in G._cache
+
+
+def test_sorted_element_stream_reuses_an_ascending_chain():
+    # base 3, 4, 5: the group fixes 1 and 2, so its own chain can be walked
+    G = Group(6, [perm_from_cycles(6, [[3, 4]]), perm_from_cycles(6, [[4, 5, 6]])])
+    assert [lvl.base for lvl in G.chain.levels] == [3, 4, 5]
+    oracle = sorted(p.images for p in mulclose(list(G.generators), 6))
+    assert list(G.sorted_element_stream()) == oracle
+    assert G._cache["sorted_chain"] is G.chain
+
+
+def test_sorted_walk_needs_the_ascending_base():
+    G, _ = build(parse_spec("PROD(S:3,S:3)"))
+    with pytest.raises(InvariantViolated):
+        next(G.chain_with_base((4, 1)).iter_sorted_elements())
+    # ascending, but the group moves 1, which lies below the first base point
+    assert not G.chain_with_base((2, 3)).walks_sorted()
+    assert G.chain_with_base((1, 2, 3, 4, 5)).walks_sorted()
+
+
 def test_from_element_tuples_roundtrip(d4):
     rebuilt = Group.from_element_tuples(4, d4.element_tuples())
     assert rebuilt.order() == d4.order()
@@ -171,7 +227,7 @@ def test_catalog_chain_order_matches_closure_oracle():
         assert G.order() == brute_order(list(G.generators), G.degree), str(spec)
 
 
-def test_result_guard_holds_under_optimize():
+def test_result_guard_holds_under_optimize(subprocess_env):
     # python -O strips assert statements; a guard on a result must still raise
     code = (
         "import normlab.group as g\n"
@@ -182,6 +238,8 @@ def test_result_guard_holds_under_optimize():
         "except InvariantViolated as exc:\n"
         "    print('raised:', exc)\n"
     )
-    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=subprocess_env
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised:")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from normlab.catalog import build, parse_spec
+from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.limits import Limits, using_limits
 from normlab.perm import conjugate_tuple, perm_from_cycles
@@ -32,6 +32,7 @@ from oracles import (
     brute_center,
     brute_centralizer,
     brute_core,
+    brute_minimal_normals,
     brute_normal_closure,
     brute_normalizer,
     brute_subgroups_extension,
@@ -155,6 +156,29 @@ def test_centralizer_matches_oracle(s4):
         mulclose(list(s4.generators), 4), mulclose(list(H.generators), 4)
     )
     assert got == oracle
+
+
+@pytest.mark.parametrize("name", ["S:4", "PSL2:7", "AGL1:7", "PROD(S:3,C:2)"])
+def test_centralizer_backtrack_matches_oracle_on_every_subgroup(name):
+    G, _ = build(parse_spec(name))
+    ambient = mulclose(list(G.generators), G.degree)
+    for S in enumerate_subgroups(G):
+        S_set = mulclose(list(S.generators), G.degree)
+        assert _elements(centralizer(G, S)) == brute_centralizer(ambient, S_set), (name, S)
+
+
+def test_center_matches_oracle_across_the_sweep():
+    for spec in default_sweep(max_order=200):
+        G, _ = build(spec)
+        ambient = mulclose(list(G.generators), G.degree)
+        assert _elements(center(G)) == brute_center(ambient), str(spec)
+
+
+def test_center_above_the_bound():
+    G, _ = build(parse_spec("S:5"))
+    with using_limits(Limits(enum_bound=100)):
+        with pytest.raises(OrderTooLarge):
+            center(G)
 
 
 # -- normalizer ----------------------------------------------------------------------
@@ -341,6 +365,16 @@ def test_minimal_normals_v4():
 def test_minimal_normals_simple_group(a5):
     mins = minimal_normal_subgroups(a5)
     assert len(mins) == 1 and mins[0].order() == 60
+
+
+def test_minimal_normals_match_class_closure_oracle():
+    # the library closes only elements of prime order; the oracle closes
+    # every conjugacy class; both lists are sorted by (order, element list)
+    for spec in default_sweep(max_order=200):
+        G, _ = build(spec)
+        ambient = mulclose(list(G.generators), G.degree)
+        got = [frozenset(_elements(M)) for M in minimal_normal_subgroups(G)]
+        assert got == brute_minimal_normals(ambient, G.degree), str(spec)
 
 
 def test_is_simple():
