@@ -143,19 +143,7 @@ class StabilizerChain:
 
     def iter_elements(self) -> Iterator[Images]:
         """Each element exactly once, as a product of transversal entries."""
-        if not self.levels:
-            yield self.ident
-            return
-
-        def rec(idx: int, acc: Images) -> Iterator[Images]:
-            if idx < 0:
-                yield acc
-                return
-            lvl = self.levels[idx]
-            for pt in sorted(lvl.transversal):
-                yield from rec(idx - 1, compose_tuples(acc, lvl.transversal[pt][0]))
-
-        yield from rec(len(self.levels) - 1, self.ident)
+        return self._walk()
 
     def walks_sorted(self) -> bool:
         """True when ``iter_sorted_elements`` can walk this chain: the base
@@ -173,13 +161,18 @@ class StabilizerChain:
         level i's transversal, and its images of the points below level i's
         base are fixed by u_1 .. u_(i-1) alone (the later factors fix those
         points). So the children of a prefix, sorted as tuples, differ first
-        at that base's image, and a depth-first walk over sorted children is
-        the sorted order (Sims's lexicographic coset representatives). The
-        walk keeps an explicit stack of iterators, one per level; levels
-        with a trivial transversal are skipped.
+        at that base's image, and the depth-first walk over sorted children
+        is the sorted order (Sims's lexicographic coset representatives).
         """
         if not self.walks_sorted():
             raise InvariantViolated("sorted element walk needs an ascending base")
+        return self._walk()
+
+    def _walk(self) -> Iterator[Images]:
+        """Every product u_k * .. * u_1 of transversal entries, depth first
+        with each prefix's children in ascending order: each element exactly
+        once on any chain. The walk keeps an explicit stack of iterators,
+        one per level; levels with a trivial transversal are skipped."""
         reps = [
             [u for u, _ in lvl.transversal.values()]
             for lvl in self.levels
@@ -188,16 +181,17 @@ class StabilizerChain:
         if not reps:
             yield self.ident
             return
-        depth_of_leaves = len(reps)
-        stack = [iter(sorted(reps[0]))]
+        stack = [iter((self.ident,))]
         while stack:
             prefix = next(stack[-1], None)
             if prefix is None:
                 stack.pop()
-            elif len(stack) == depth_of_leaves:
-                yield prefix
+                continue
+            children = sorted([compose_tuples(u, prefix) for u in reps[len(stack) - 1]])
+            if len(stack) == len(reps):
+                yield from children
             else:
-                stack.append(iter(sorted([compose_tuples(u, prefix) for u in reps[len(stack)]])))
+                stack.append(iter(children))
 
     def extended(self, new_gens: Iterable[Images]) -> "StabilizerChain":
         """A new chain for the group generated by this one plus new_gens."""

@@ -22,7 +22,6 @@ class Limits:
     enum_bound: int = 10**6        # max group order for element enumeration
     subgroup_bound: int = 2000     # max group order for full subgroup enumeration
     index_bound: int = 10**5       # max coset-action degree for quotients
-    intro_bound: int = 200         # max group order for the intro property suite
 
 
 _active = Limits()

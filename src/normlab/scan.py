@@ -12,7 +12,7 @@ import multiprocessing
 
 from .arith import is_prime, p_part, primes_dividing
 from .catalog import GroupSpec, build, parse_spec
-from .errors import OrderTooLarge
+from .errors import InvalidParameter, OrderTooLarge
 from .group import Group
 from .limits import get_limits, set_limits
 from .perm import compose_tuples
@@ -57,6 +57,7 @@ VERIFIERS = {
     "simp": verify_simp,
 }
 THEOREM_NAMES = tuple(VERIFIERS)
+INTRO_BOUND = 200  # max group order for the intro property suite
 
 
 def skip_report(theorem: str, subject: dict, reason: str, mode: str | None = None) -> VerdictReport:
@@ -142,7 +143,7 @@ def scan_group(
             rt.subject["group"] = gname
             reports.append(rt)
 
-    if intro and G.order() <= get_limits().intro_bound:
+    if intro and G.order() <= INTRO_BOUND:
         reports.extend(intro_suite(G, gname, subs))
 
     reports.sort(key=VerdictReport.sort_key)
@@ -319,6 +320,8 @@ def scan(
     jobs: int = 1,
 ) -> tuple[list[VerdictReport], dict]:
     """Run the scan over the given specs; returns (reports, summary)."""
+    if jobs < 1:
+        raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     selected: list[GroupSpec] = []
     for spec in specs:
         G, _ = build(spec)
@@ -327,7 +330,7 @@ def scan(
 
     all_reports: list[VerdictReport] = []
     totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}
-    if jobs <= 1 or len(selected) <= 1:
+    if jobs == 1 or len(selected) <= 1:
         for spec in selected:
             reports, stats = scan_group(spec, theorems, modes, intro)
             all_reports.extend(reports)
@@ -335,7 +338,7 @@ def scan(
                 totals[k] += stats.get(k, 0)
     else:
         args = [(str(spec), theorems, modes, intro, get_limits()) for spec in selected]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(selected))) as pool:
             for dicts, stats in pool.map(_scan_worker, args):
                 all_reports.extend(VerdictReport.from_dict(d) for d in dicts)
                 for k in totals:

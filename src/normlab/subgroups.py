@@ -8,7 +8,7 @@ All functions are pure over immutable inputs.
 from __future__ import annotations
 
 from functools import cmp_to_key
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .arith import is_prime, is_prime_power
 from .chain import StabilizerChain, build_chain
@@ -105,12 +105,10 @@ def subgroups_equal(A: Subgroup, B: Subgroup) -> bool:
 
 
 def fingerprint(S: Subgroup) -> str:
-    """Deterministic short description: order plus a canonical generator list."""
-    limits = get_limits()
-    if S.order() <= limits.enum_bound:
-        gens = S.carrier.canonical_generators()
-    else:
-        gens = S.generators
+    """Deterministic short description: order plus a canonical generator
+    list, so equal subgroups print identically; OrderTooLarge above the
+    enumeration bound."""
+    gens = S.carrier.canonical_generators()
     if not gens:
         return "1:()"
     return f"{S.order()}:" + ",".join(format_perm(g) for g in gens)
@@ -201,25 +199,11 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     targets = [g for g in A.carrier.generator_tuples if g != ident]
     if not targets:
         return whole(ambient)
-    cent = _centralizer_backtrack(ambient.chain, targets)
-    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent))
-
-
-def _centralizer_backtrack(
-    chain: StabilizerChain, targets: list[tuple[int, ...]]
-) -> list[tuple[int, ...]]:
-    """The chain's elements that commute with every target.
-
-    Once levels 0..i are chosen, the prefix m fixes the images of the base
-    points b_0..b_i. A centralizing element c has c(h(x)) = h(c(x)), so for
-    every target h and assigned base point x with h(x) also assigned,
-    m(h(x)) must equal h(m(x)); each level checks the pairs that its base
-    point completes. The full commuting test runs at the leaves.
-    """
-    levels = chain.levels
-    if not levels:
-        return [chain.ident]
-    bases = [lvl.base for lvl in levels]
+    chain = ambient.chain
+    # a centralizing element c has c(h(x)) = h(c(x)): once the prefix fixes
+    # the images of base points x and h(x), they must agree; each level
+    # checks the pairs that its base point completes
+    bases = [lvl.base for lvl in chain.levels]
     checks = []
     for i, b in enumerate(bases):
         assigned = set(bases[: i + 1])
@@ -229,22 +213,12 @@ def _centralizer_backtrack(
             for x in assigned
             if h[x - 1] in assigned and b in (x, h[x - 1])
         ])
-    transversals = [[u for u, _ in lvl.transversal.values()] for lvl in levels]
-    n_levels = len(levels)
-    found: list[tuple[int, ...]] = []
-
-    def dfs(i: int, m: tuple[int, ...]) -> None:
-        if i == n_levels:
-            if all(compose_tuples(m, h) == compose_tuples(h, m) for h in targets):
-                found.append(m)
-            return
-        for u in transversals[i]:
-            m2 = compose_tuples(u, m)
-            if all(m2[hx - 1] == h[m2[x - 1] - 1] for h, x, hx in checks[i]):
-                dfs(i + 1, m2)
-
-    dfs(0, chain.ident)
-    return found
+    cent = [
+        m
+        for m in _chain_backtrack(chain, targets, checks)
+        if all(compose_tuples(m, h) == compose_tuples(h, m) for h in targets)
+    ]
+    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent))
 
 
 def center(G: Group) -> Subgroup:
@@ -277,67 +251,67 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
         return whole(ambient)
     if is_normal(ambient, H):
         return whole(ambient)
-    return ambient.cached(
-        ("normalizer", H.carrier.element_tuples()),
-        lambda: Subgroup(
-            ambient, Group.from_element_tuples(ambient.degree, _normalizer_backtrack(ambient, H))
-        ),
-    )
+    H_set = H.carrier.element_tuples()
+
+    def compute() -> Subgroup:
+        chain = ambient.chain
+        h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
+        norm = [
+            m
+            for m in _chain_backtrack(chain, h_gens, [()] * len(chain.levels))
+            if all(conjugate_tuple(h, m) in H_set for h in h_gens)
+        ]
+        return Subgroup(ambient, Group.from_element_tuples(ambient.degree, norm))
+
+    return ambient.cached(("normalizer", H_set), compute)
 
 
-def _normalizer_backtrack(ambient: Group, H: Subgroup) -> set[tuple[int, ...]]:
-    chain = ambient.chain
+def _chain_backtrack(
+    chain: StabilizerChain, gens: list[tuple[int, ...]], checks: Sequence[Sequence[tuple]]
+) -> Iterator[tuple[int, ...]]:
+    """The chain's elements that survive two prunes, yielded as candidate
+    leaves for the caller's exact test.
+
+    Level i extends the prefix m by a transversal entry and so fixes the
+    image of base point b_i. An element normalizing <gens> maps <gens>-orbits
+    onto orbits of equal size, consistently and injectively; the orbit map
+    built so far rides down the search. ``checks[i]`` lists triples
+    (h, x, h(x)) that level i's prefix must satisfy as m(h(x)) = h(m(x)).
+    """
     levels = chain.levels
-    degree = ambient.degree
-    ident = identity_tuple(degree)
-    if not levels:
-        return {ident}
-
-    # H-orbit structure on points: a normalizing element must map orbits to
-    # orbits of equal size, injectively
-    h_gens = [g for g in H.carrier.generator_tuples if g != ident]
+    degree = chain.degree
     orbit_id = [-1] * (degree + 1)
     orbit_sizes: list[int] = []
     for pt in range(1, degree + 1):
         if orbit_id[pt] < 0:
-            orb = orbit(pt, h_gens, act_on_point)
+            orb = orbit(pt, gens, act_on_point)
             for y in orb:
                 orbit_id[y] = len(orbit_sizes)
             orbit_sizes.append(len(orb))
-
-    H_set = H.carrier.element_tuples()
-    found: list[tuple[int, ...]] = []
+    transversals = [[u for u, _ in lvl.transversal.values()] for lvl in levels]
     n_levels = len(levels)
-    transversals = [
-        [lvl.transversal[pt][0] for pt in sorted(lvl.transversal)] for lvl in levels
-    ]
-
-    def dfs(idx: int, m: tuple[int, ...], omap: dict[int, int], used: set[int]) -> None:
+    stack = [(0, chain.ident, {}, frozenset())]
+    while stack:
+        idx, m, omap, used = stack.pop()
         if idx == n_levels:
-            if all(conjugate_tuple(h, m) in H_set for h in h_gens):
-                found.append(m)
-            return
+            yield m
+            continue
         base = levels[idx].base
         o_src = orbit_id[base]
+        committed = omap.get(o_src)
+        level_checks = checks[idx]
         for t in transversals[idx]:
             m2 = compose_tuples(t, m)
-            o_dst = orbit_id[m2[base - 1]]
-            if orbit_sizes[o_src] != orbit_sizes[o_dst]:
+            if level_checks and not all(
+                m2[hx - 1] == h[m2[x - 1] - 1] for h, x, hx in level_checks
+            ):
                 continue
-            committed = omap.get(o_src)
+            o_dst = orbit_id[m2[base - 1]]
             if committed is not None:
-                if committed != o_dst:
-                    continue
-                dfs(idx + 1, m2, omap, used)
-            else:
-                if o_dst in used:
-                    continue
-                omap2 = dict(omap)
-                omap2[o_src] = o_dst
-                dfs(idx + 1, m2, omap2, used | {o_dst})
-
-    dfs(0, ident, {}, set())
-    return set(found)
+                if committed == o_dst:
+                    stack.append((idx + 1, m2, omap, used))
+            elif orbit_sizes[o_src] == orbit_sizes[o_dst] and o_dst not in used:
+                stack.append((idx + 1, m2, {**omap, o_src: o_dst}, used | {o_dst}))
 
 
 # -- subgroup enumeration ------------------------------------------------------

@@ -6,6 +6,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 from __future__ import annotations
 
 import importlib.util
+import json
 import random
 import time
 from math import gcd
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.cli import report_document
+from normlab.cli import main, report_document
 from normlab.structure import is_solvable, sylow_subgroup
 from normlab.subgroups import (
     Subgroup,
@@ -170,16 +171,52 @@ def test_criterion_5_default_sweep(sweep_results):
     )
 
 
-def test_default_sweep_document_matches_golden_digest(sweep_results):
-    # the refactor gate: the default-sweep document is byte-identical to the
-    # benchmark's recorded one, apart from elapsed_s fields and invocation
+def _perfbench_golden():
+    """The benchmark's golden module, imported by path and only read."""
     path = Path(__file__).resolve().parent.parent / "perfbench" / "golden.py"
     spec = importlib.util.spec_from_file_location("perfbench_golden", path)
     golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(golden)
+    return golden
+
+
+def test_default_sweep_document_matches_golden_digest(sweep_results):
+    # the refactor gate: the default-sweep document is byte-identical to the
+    # benchmark's recorded one, apart from elapsed_s fields and invocation
+    golden = _perfbench_golden()
     reports, summary, _ = sweep_results
     got = golden.digest(report_document([], reports, summary, 0.0))
     assert got == golden.load()["sweep:merged"]["digest"]
+
+
+# the benchmark's verify anchors (all but S:10) and a few fast analyze groups
+GOLDEN_VERIFY = (
+    ("comp22", "S:4", "stab:4"),
+    ("comp22", "PSL2:17", "syl:2"),
+    ("rem23", "PSL2:17", "syl:2"),
+    ("hall", "AGL1:5", "stab:1"),
+    ("hall", "AGL1:7", "stab:1"),
+    ("hall", "AGL1:11", "stab:1"),
+    ("hall", "AGL1:13", "stab:1"),
+)
+GOLDEN_ANALYZE = ("PSL2:19", "S:7", "PROD(PSL2:7,S:4)")
+
+
+def test_verify_and_analyze_documents_match_golden_digests(capsys):
+    # the documents carry normalizer-derived witnesses and center_order,
+    # which the element-set oracles do not reach
+    golden = _perfbench_golden()
+    recorded = golden.load()
+    ops = [
+        (f"verify:{thm}|{group}|{sel}|def21=fit-normal",
+         ["verify", thm, "--group", group, "--subgroup", sel, "--mode", "def21=fit-normal"])
+        for thm, group, sel in GOLDEN_VERIFY
+    ] + [(f"analyze:{group}", ["analyze", "--group", group]) for group in GOLDEN_ANALYZE]
+    for key, argv in ops:
+        code = main(argv + ["--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == recorded[key]["exit"], key
+        assert golden.digest(doc) == recorded[key]["digest"], key
 
 
 def test_criterion_6_intro_suite(sweep_results):

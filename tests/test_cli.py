@@ -208,6 +208,16 @@ def test_scan_jobs_do_not_change_report(tmp_path, capsys):
     assert docs[0] == docs[1]
 
 
+def test_scan_jobs_below_one_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "scan.json"
+    code, out, err = run_cli(
+        ["scan", "--group", "S:3", "--jobs", "0", "--out", str(out_path)], capsys
+    )
+    assert code == 2
+    assert out == "" and not out_path.exists()
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
 def test_enum_bound_flag(capsys):
     code, _, err = run_cli(
         ["verify", "comp22", "--group", "S:5", "--subgroup", "stab:5",

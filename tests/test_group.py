@@ -199,8 +199,13 @@ def test_sorted_element_stream_reuses_an_ascending_chain():
 
 def test_sorted_walk_needs_the_ascending_base():
     G, _ = build(parse_spec("PROD(S:3,S:3)"))
+    unsorted = G.chain_with_base((4, 1))
     with pytest.raises(InvariantViolated):
-        next(G.chain_with_base((4, 1)).iter_sorted_elements())
+        next(unsorted.iter_sorted_elements())
+    # the same walk still enumerates every element exactly once, unsorted
+    walked = list(unsorted.iter_elements())
+    assert len(walked) == G.order() == 36
+    assert set(walked) == {p.images for p in mulclose(list(G.generators), G.degree)}
     # ascending, but the group moves 1, which lies below the first base point
     assert not G.chain_with_base((2, 3)).walks_sorted()
     assert G.chain_with_base((1, 2, 3, 4, 5)).walks_sorted()

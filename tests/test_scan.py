@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import NotNormal
+from normlab.errors import InvalidParameter, NotNormal
 from normlab.limits import get_limits
 from normlab.scan import intro_suite, scan, scan_group
 from normlab.subgroups import enumerate_subgroups, is_normal, subgroup_classes
@@ -64,6 +64,40 @@ def test_scan_deterministic_across_workers():
     par, sum2 = scan(specs, jobs=2)
     assert _scrub(seq) == _scrub(par)
     assert sum1 == sum2
+
+
+def test_scan_rejects_fewer_than_one_job():
+    for jobs in (0, -2):
+        with pytest.raises(InvalidParameter):
+            scan([parse_spec("S:3")], jobs=jobs)
+
+
+def test_scan_pool_is_capped_at_the_group_count(monkeypatch):
+    # a stand-in context: records the pool size, maps in this process
+    requested = []
+
+    class SerialPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    class Context:
+        Pool = SerialPool
+
+    monkeypatch.setattr(scan_module.multiprocessing, "get_context", lambda method: Context())
+    specs = [parse_spec(s) for s in ("S:3", "D:4")]
+    par, summary = scan(specs, jobs=64, intro=False)
+    assert requested == [2]
+    seq, serial_summary = scan(specs, jobs=1, intro=False)
+    assert _scrub(par) == _scrub(seq) and summary == serial_summary
 
 
 def test_scan_reports_sorted():

@@ -14,6 +14,7 @@ from normlab.subgroups import (
     centralizer,
     core,
     enumerate_subgroups,
+    fingerprint,
     intersection,
     is_normal,
     is_simple,
@@ -256,6 +257,30 @@ def test_transposition_not_normal_in_s3(s3):
 
 def test_trivial_is_normal(s4):
     assert is_normal(s4, trivial_subgroup(s4))
+
+
+# -- fingerprint -------------------------------------------------------------------------
+
+
+def test_fingerprint_is_one_per_subgroup(s4):
+    # two generating sets of the dihedral Sylow 2-subgroup of S4
+    A = subgroup(s4, [perm_from_cycles(4, [[1, 2, 3, 4]]), perm_from_cycles(4, [[1, 3]])])
+    B = subgroup(s4, [
+        perm_from_cycles(4, [[2, 4]]),
+        perm_from_cycles(4, [[1, 2], [3, 4]]),
+        perm_from_cycles(4, [[1, 3], [2, 4]]),
+    ])
+    assert subgroups_equal(A, B)
+    assert fingerprint(A) == fingerprint(B)
+    assert fingerprint(A).startswith("8:")
+
+
+def test_fingerprint_above_the_bound_raises():
+    # a fresh group, so no element set or canonical generators are cached
+    G, _ = build(parse_spec("S:5"))
+    with using_limits(Limits(enum_bound=100)):
+        with pytest.raises(OrderTooLarge):
+            fingerprint(whole(G))
 
 
 # -- enumeration ---------------------------------------------------------------------
