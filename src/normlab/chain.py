@@ -1,9 +1,13 @@
 """Stabilizer chains: deterministic Schreier-Sims with explicit transversals.
 
-Base points are chosen as the first moved points in natural order unless a
-hint is supplied. Transversal entries are never overwritten once created,
-which keeps earlier sift verdicts valid while the chain grows and makes the
-whole construction deterministic. Permutations are image tuples throughout.
+Each new base point is the smallest point not yet in the base (after any
+hint), and a level is appended for every such point until one is moved by
+the residue that needs it; the levels in between have trivial transversals.
+A chain grown without a hint therefore has the base 1, 2, .., k with every
+level fixing all smaller points, so its depth-first walk is ascending.
+Transversal entries are never overwritten once created, which keeps earlier
+sift verdicts valid while the chain grows and makes the whole construction
+deterministic. Permutations are image tuples throughout.
 """
 
 from __future__ import annotations
@@ -72,8 +76,13 @@ def _sift_from(levels: list[_Level], p: Images, i: int) -> tuple[Images, int]:
 def _add_strong_generator(levels: list[_Level], ident: Images, r: Images, j: int) -> None:
     # r fixes the bases of levels 0..j-1, so it is a valid generator there too
     if j == len(levels):
-        base = next(pt for pt, img in enumerate(r, 1) if img != pt)
-        levels.append(_Level(base, ident))
+        used = {lvl.base for lvl in levels}
+        for pt in range(1, len(r) + 1):
+            if pt not in used:
+                levels.append(_Level(pt, ident))
+                if r[pt - 1] != pt:
+                    break
+        j = len(levels) - 1
     for m in range(j + 1):
         lvl = levels[m]
         if r not in lvl.gens:
@@ -142,37 +151,23 @@ class StabilizerChain:
         return list(self.levels[1].gens)
 
     def iter_elements(self) -> Iterator[Images]:
-        """Each element exactly once, as a product of transversal entries."""
-        return self._walk()
+        """Every element, for a caller that reads them all: the one full
+        enumeration (``walk`` serves readers that may stop early)."""
+        return self.walk()
 
-    def walks_sorted(self) -> bool:
-        """True when ``iter_sorted_elements`` can walk this chain: the base
-        ascends and each level's stabilizer fixes every point below that
-        level's base point (as a base 1, 2, .., k always does)."""
-        bases = [lvl.base for lvl in self.levels]
-        return bases == sorted(bases) and all(
-            g[p - 1] == p for lvl in self.levels for g in lvl.gens for p in range(1, lvl.base)
-        )
-
-    def iter_sorted_elements(self) -> Iterator[Images]:
-        """Each element exactly once, in ascending image-tuple order.
-
-        Needs ``walks_sorted()``. An element is u_k * .. * u_1 with u_i from
-        level i's transversal, and its images of the points below level i's
-        base are fixed by u_1 .. u_(i-1) alone (the later factors fix those
-        points). So the children of a prefix, sorted as tuples, differ first
-        at that base's image, and the depth-first walk over sorted children
-        is the sorted order (Sims's lexicographic coset representatives).
-        """
-        if not self.walks_sorted():
-            raise InvariantViolated("sorted element walk needs an ascending base")
-        return self._walk()
-
-    def _walk(self) -> Iterator[Images]:
+    def walk(self) -> Iterator[Images]:
         """Every product u_k * .. * u_1 of transversal entries, depth first
         with each prefix's children in ascending order: each element exactly
         once on any chain. The walk keeps an explicit stack of iterators,
-        one per level; levels with a trivial transversal are skipped."""
+        one per level; levels with a trivial transversal are skipped.
+
+        On an ascending base whose levels fix every smaller point (any chain
+        grown without a hint) the walk is in ascending image-tuple order: an
+        element's images of the points below level i's base are fixed by
+        u_1 .. u_(i-1) alone, so the sorted children of a prefix differ
+        first at that base's image (Sims's lexicographic coset
+        representatives).
+        """
         reps = [
             [u for u, _ in lvl.transversal.values()]
             for lvl in self.levels

@@ -2,8 +2,8 @@
 
 A Group is immutable once constructed; the chain is built on first demand
 under a lock, so first use from concurrent workers is safe. Derived data
-(the element set and its sorted list, the chain behind the sorted element
-stream, structural subgroups) is memoized on the instance.
+(the sorted element list and its set, structural subgroups) is memoized on
+the instance.
 """
 
 from __future__ import annotations
@@ -114,42 +114,31 @@ class Group:
     def element_tuples(self) -> frozenset[tuple[int, ...]]:
         """The set of all elements as raw image tuples (cached)."""
         cached = self._cache.get("elements")
-        if cached is not None:
-            return cached
-        bound = get_limits().enum_bound
-        if self.order() > bound:
-            raise OrderTooLarge(f"group order {self.order()} exceeds bound {bound}")
-        elems = frozenset(self.chain.iter_elements())
-        self._cache["elements"] = elems
-        return elems
+        if cached is None:
+            cached = self._cache["elements"] = frozenset(self.sorted_element_tuples())
+        return cached
 
     def sorted_element_tuples(self) -> list[tuple[int, ...]]:
         """The elements as image tuples in ascending order (cached): the one
-        element order that every order-dependent search walks."""
+        element order that every order-dependent search walks, read off the
+        chain's walk."""
         cached = self._cache.get("sorted_elements")
         if cached is None:
-            cached = self._cache["sorted_elements"] = sorted(self.element_tuples())
+            bound = get_limits().enum_bound
+            if self.order() > bound:
+                raise OrderTooLarge(f"group order {self.order()} exceeds bound {bound}")
+            cached = self._cache["sorted_elements"] = list(self.chain.iter_elements())
         return cached
 
     def sorted_element_stream(self) -> Iterator[tuple[int, ...]]:
         """The elements as image tuples in the order of
-        ``sorted_element_tuples``, one at a time: neither the element set
-        nor the sorted list is built, so no enumeration bound applies.
-
-        The walk runs over the group's chain when its base allows it, and
-        otherwise over a second chain based at 1, 2, .., degree-1 (cached).
-        """
+        ``sorted_element_tuples``, one at a time from the chain's walk:
+        neither the element set nor the sorted list is built, so no
+        enumeration bound applies."""
         cached = self._cache.get("sorted_elements")
         if cached is not None:
             return iter(cached)
-        chain = self.cached("sorted_chain", self._sorted_walk_chain)
-        return chain.iter_sorted_elements()
-
-    def _sorted_walk_chain(self) -> StabilizerChain:
-        chain = self.chain
-        if chain.walks_sorted():
-            return chain
-        return self.chain_with_base(tuple(range(1, self.degree)))
+        return self.chain.walk()
 
     def sorted_elements(self) -> list[Perm]:
         return [Perm(t, _checked=True) for t in self.sorted_element_tuples()]
@@ -199,7 +188,8 @@ class Group:
         group = cls(degree, ())
         elem_set = group._cache["elements"] = frozenset(elems)
         group._cache["order"] = len(elem_set)
-        gens, closed = _canonical_generators(degree, group.sorted_element_tuples())
+        ordered = group._cache["sorted_elements"] = sorted(elem_set)
+        gens, closed = _canonical_generators(degree, ordered)
         if len(closed) != len(elem_set):
             raise InvariantViolated("element set is not closed under multiplication")
         group.generator_tuples = group._cache["canonical_gens"] = tuple(gens)

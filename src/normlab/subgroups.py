@@ -114,10 +114,6 @@ def fingerprint(S: Subgroup) -> str:
     return f"{S.order()}:" + ",".join(format_perm(g) for g in gens)
 
 
-def _subgroup_sort_key(S: Subgroup):
-    return (S.order(), S.carrier.sorted_element_tuples())
-
-
 # -- generation and intersection ---------------------------------------------
 
 
@@ -192,27 +188,32 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     backtrack over the stabilizer chain; the result is built as an element
     set, so the ambient order stays under the enumeration bound."""
     _check_ambient(ambient, A)
-    bound = get_limits().enum_bound
-    if ambient.order() > bound:
-        raise OrderTooLarge(f"centralizer search needs order <= {bound}")
     ident = identity_tuple(ambient.degree)
     targets = [g for g in A.carrier.generator_tuples if g != ident]
     if not targets:
         return whole(ambient)
+    bound = get_limits().enum_bound
+    if ambient.order() > bound:
+        raise OrderTooLarge(f"centralizer search needs order <= {bound}")
     chain = ambient.chain
     # a centralizing element c has c(h(x)) = h(c(x)): once the prefix fixes
-    # the images of base points x and h(x), they must agree; each level
-    # checks the pairs that its base point completes
-    bases = [lvl.base for lvl in chain.levels]
+    # the images of base points x and h(x), they must agree; each level that
+    # branches checks the pairs completed since the one before it (the base
+    # point of a level with a trivial transversal is fixed by the prefix)
     checks = []
-    for i, b in enumerate(bases):
-        assigned = set(bases[: i + 1])
+    assigned: set[int] = set()
+    before: set[int] = set()
+    for lvl in chain.levels:
+        assigned.add(lvl.base)
+        if len(lvl.transversal) == 1:
+            continue
         checks.append([
             (h, x, h[x - 1])
             for h in targets
             for x in assigned
-            if h[x - 1] in assigned and b in (x, h[x - 1])
+            if h[x - 1] in assigned and not (x in before and h[x - 1] in before)
         ])
+        before = set(assigned)
     cent = [
         m
         for m in _chain_backtrack(chain, targets, checks)
@@ -242,15 +243,13 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
     """The set of ambient elements g with H^g == H, by a pruned backtrack
     over the stabilizer chain, memoized on the ambient group by H's element set."""
     _check_ambient(ambient, H)
+    if H.order() == 1 or is_normal(ambient, H):
+        return whole(ambient)
     bound = get_limits().enum_bound
     if ambient.order() > bound:
         raise OrderTooLarge(
             f"normalizer search: group order {ambient.order()} exceeds bound {bound}"
         )
-    if H.order() == 1:
-        return whole(ambient)
-    if is_normal(ambient, H):
-        return whole(ambient)
     H_set = H.carrier.element_tuples()
 
     def compute() -> Subgroup:
@@ -258,7 +257,7 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
         h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
         norm = [
             m
-            for m in _chain_backtrack(chain, h_gens, [()] * len(chain.levels))
+            for m in _chain_backtrack(chain, h_gens)
             if all(conjugate_tuple(h, m) in H_set for h in h_gens)
         ]
         return Subgroup(ambient, Group.from_element_tuples(ambient.degree, norm))
@@ -267,18 +266,20 @@ def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
 
 
 def _chain_backtrack(
-    chain: StabilizerChain, gens: list[tuple[int, ...]], checks: Sequence[Sequence[tuple]]
+    chain: StabilizerChain, gens: list[tuple[int, ...]], checks: Sequence[Sequence[tuple]] = ()
 ) -> Iterator[tuple[int, ...]]:
     """The chain's elements that survive two prunes, yielded as candidate
     leaves for the caller's exact test.
 
-    Level i extends the prefix m by a transversal entry and so fixes the
-    image of base point b_i. An element normalizing <gens> maps <gens>-orbits
-    onto orbits of equal size, consistently and injectively; the orbit map
-    built so far rides down the search. ``checks[i]`` lists triples
-    (h, x, h(x)) that level i's prefix must satisfy as m(h(x)) = h(m(x)).
+    Only levels with a non-trivial transversal branch; the search skips the
+    rest. Branching level i extends the prefix m by a transversal entry and
+    so fixes the image of base point b_i. An element normalizing <gens> maps
+    <gens>-orbits onto orbits of equal size, consistently and injectively;
+    the orbit map built so far rides down the search. ``checks[i]``, when
+    given, lists triples (h, x, h(x)) that branching level i's prefix must
+    satisfy as m(h(x)) = h(m(x)).
     """
-    levels = chain.levels
+    levels = [lvl for lvl in chain.levels if len(lvl.transversal) > 1]
     degree = chain.degree
     orbit_id = [-1] * (degree + 1)
     orbit_sizes: list[int] = []
@@ -299,7 +300,7 @@ def _chain_backtrack(
         base = levels[idx].base
         o_src = orbit_id[base]
         committed = omap.get(o_src)
-        level_checks = checks[idx]
+        level_checks = checks[idx] if checks else ()
         for t in transversals[idx]:
             m2 = compose_tuples(t, m)
             if level_checks and not all(
@@ -411,7 +412,7 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
             built.extend(
                 Subgroup(G, Group.from_element_tuples(degree, key)) for key in rec.members[1:]
             )
-        return sorted(built, key=_subgroup_sort_key), records
+        return sorted(built, key=cmp_to_key(_compare_element_streams)), records
 
     return G.cached("subgroup_lattice", compute)
 

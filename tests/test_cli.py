@@ -294,16 +294,18 @@ def test_analyze_over_bound_is_skipped(capsys):
 def test_large_groups_are_not_enumerated(capsys, monkeypatch):
     # the Sylow seed, class representatives, centre and the order of the
     # minimal normal subgroups come from the chain and the sorted element
-    # stream: no group above order 10 000 has its element set built
+    # stream: no group above order 10 000 has its element set or its sorted
+    # list built from the chain (sets that ``from_element_tuples`` receives,
+    # such as backtrack results, are not enumerations)
     built = []
-    element_tuples = Group.element_tuples
+    for name, key in (("element_tuples", "elements"), ("sorted_element_tuples", "sorted_elements")):
 
-    def recording(self):
-        if "elements" not in self._cache:
-            built.append(self.order())
-        return element_tuples(self)
+        def recording(self, method=getattr(Group, name), key=key):
+            if key not in self._cache:
+                built.append(self.order())
+            return method(self)
 
-    monkeypatch.setattr(Group, "element_tuples", recording)
+        monkeypatch.setattr(Group, name, recording)
     for argv in (
         ["analyze", "--group", "S:9"],
         ["verify", "comp22", "--group", "PSL2:31", "--subgroup", "syl:2"],

@@ -11,13 +11,13 @@ from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import (
     DegreeMismatch,
     EmptyDegree,
-    InvariantViolated,
     OrderTooLarge,
     PointOutOfRange,
 )
 from normlab.group import Group, trivial_group
 from normlab.limits import Limits, using_limits
 from normlab.perm import Perm, perm_from_cycles
+from normlab.subgroups import normal_closure, subgroup
 
 from oracles import brute_class_reps, brute_order, mulclose
 
@@ -157,11 +157,12 @@ def test_conjugacy_class_reps(s4):
     assert len(reps) == 5  # cycle types of S4
 
 
-# groups whose default chain base is not 1, 2, .. among them
+# the PROD chains have levels with trivial transversals; the stream test
+# also walks S:7 (order 5040), too large for the brute class oracle
 STREAM_SPECS = ("S:5", "PSL2:7", "AGL1:13", "PROD(S:3,S:3)", "PROD(PSL2:7,S:4)")
 
 
-@pytest.mark.parametrize("spec", STREAM_SPECS)
+@pytest.mark.parametrize("spec", (*STREAM_SPECS, "S:7"))
 def test_sorted_element_stream_matches_closure_oracle(spec):
     G, _ = build(parse_spec(spec))
     oracle = sorted(p.images for p in mulclose(list(G.generators), G.degree))
@@ -188,27 +189,49 @@ def test_sorted_element_stream_above_the_bound():
     assert "elements" not in G._cache
 
 
-def test_sorted_element_stream_reuses_an_ascending_chain():
-    # base 3, 4, 5: the group fixes 1 and 2, so its own chain can be walked
-    G = Group(6, [perm_from_cycles(6, [[3, 4]]), perm_from_cycles(6, [[4, 5, 6]])])
-    assert [lvl.base for lvl in G.chain.levels] == [3, 4, 5]
-    oracle = sorted(p.images for p in mulclose(list(G.generators), 6))
-    assert list(G.sorted_element_stream()) == oracle
-    assert G._cache["sorted_chain"] is G.chain
+def _walks_sorted(chain) -> bool:
+    """The base ascends and each level's strong generators fix every point
+    below its base point: the condition under which the depth-first walk
+    over sorted children is ascending."""
+    bases = [lvl.base for lvl in chain.levels]
+    return bases == sorted(bases) and all(
+        g[p - 1] == p for lvl in chain.levels for g in lvl.gens for p in range(1, lvl.base)
+    )
 
 
-def test_sorted_walk_needs_the_ascending_base():
-    G, _ = build(parse_spec("PROD(S:3,S:3)"))
-    unsorted = G.chain_with_base((4, 1))
-    with pytest.raises(InvariantViolated):
-        next(unsorted.iter_sorted_elements())
-    # the same walk still enumerates every element exactly once, unsorted
-    walked = list(unsorted.iter_elements())
-    assert len(walked) == G.order() == 36
-    assert set(walked) == {p.images for p in mulclose(list(G.generators), G.degree)}
-    # ascending, but the group moves 1, which lies below the first base point
-    assert not G.chain_with_base((2, 3)).walks_sorted()
-    assert G.chain_with_base((1, 2, 3, 4, 5)).walks_sorted()
+def test_every_default_chain_has_an_ascending_base():
+    specs = [*default_sweep(2500), *map(parse_spec, ("S:7", "PROD(S:5,S:4)", "PROD(PSL2:7,S:4)"))]
+    for spec in specs:
+        G, _ = build(spec)
+        assert _walks_sorted(G.chain), str(spec)
+    # a chain grown by ``extended``: the normal closure of a 3-cycle on the
+    # second factor fixes 1..4, which become levels with trivial transversals
+    G, _ = build(parse_spec("PROD(S:4,S:4)"))
+    N = normal_closure(G, subgroup(G, [perm_from_cycles(8, [[5, 6, 7]])]))
+    assert N.order() == 12
+    assert [lvl.base for lvl in N.carrier.chain.levels] == [1, 2, 3, 4, 5, 6]
+    assert _walks_sorted(N.carrier.chain)
+    oracle = sorted(p.images for p in mulclose(list(N.generators), 8))
+    assert list(N.carrier.sorted_element_stream()) == oracle
+    # a hinted chain need not ascend
+    assert not _walks_sorted(G.chain_with_base((5, 1)))
+
+
+def test_sorted_element_stream_walks_the_one_chain(monkeypatch):
+    import normlab.group
+
+    builds = []
+    build_chain = normlab.group.build_chain
+
+    def counting(*args, **kwargs):
+        builds.append(args)
+        return build_chain(*args, **kwargs)
+
+    monkeypatch.setattr(normlab.group, "build_chain", counting)
+    G, _ = build(parse_spec("S:7"))
+    assert next(G.sorted_element_stream()) == tuple(range(1, 8))
+    assert len(list(G.sorted_element_stream())) == 5040
+    assert len(builds) == 1
 
 
 def test_from_element_tuples_roundtrip(d4):

@@ -240,6 +240,22 @@ def test_normalizer_order_too_large(psl2_17):
             normalizer(psl2_17, H)
 
 
+def test_whole_group_answers_come_before_the_bound():
+    # S:10 is above the default enumeration bound, but the normalizer of the
+    # trivial subgroup or of a normal one, and the centralizer of the trivial
+    # subgroup, are the whole group without a search
+    G, _ = build(parse_spec("S:10"))
+    A10, _ = build(parse_spec("A:10"))
+    trivial = trivial_subgroup(G)
+    assert normalizer(G, trivial).carrier is G
+    assert normalizer(G, subgroup(G, A10.generators)).carrier is G
+    assert centralizer(G, trivial).carrier is G
+    with pytest.raises(OrderTooLarge):
+        centralizer(G, whole(G))
+    with pytest.raises(OrderTooLarge):
+        normalizer(G, subgroup(G, [perm_from_cycles(10, [[1, 2]])]))
+
+
 # -- is_normal -------------------------------------------------------------------------
 
 
