@@ -10,13 +10,21 @@ from __future__ import annotations
 from functools import cmp_to_key
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import is_prime, is_prime_power
+from .arith import is_prime_power, primes_dividing
 from .chain import StabilizerChain, build_chain
 from .closure import act_on_point, dimino_extend, orbit
 from .errors import AmbientMismatch, NotASubgroup, OrderTooLarge
 from .group import Group, trivial_group
 from .limits import get_limits
-from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, inverse_tuple
+from .perm import (
+    Perm,
+    compose_tuples,
+    conjugate_tuple,
+    format_perm,
+    identity_tuple,
+    inverse_tuple,
+    order_of_tuple,
+)
 
 __all__ = [
     "Subgroup",
@@ -424,19 +432,32 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
     """Inclusion-minimal non-trivial normal subgroups, sorted by order and
     then by element list.
 
-    Candidates are normal closures of single elements of prime order, one
-    per conjugacy class (the closure only depends on the class): a minimal
-    normal subgroup is the closure of any of its elements of prime order.
+    Candidates are normal closures of elements of prime order p in the centre
+    Z(P) of a Sylow p-subgroup P, for each prime p dividing |G|. A minimal
+    normal subgroup N with p dividing |N| meets P in a non-trivial normal
+    subgroup of P, and a non-trivial normal subgroup of a p-group meets its
+    centre, so N contains some such z; the closure of any z of order p inside
+    N is N. The closure depends only on <z>, so one z per cyclic subgroup is
+    closed. A z is not skipped for lying in an earlier closure: its own
+    closure may be a smaller normal subgroup.
     """
+    from .structure import sylow_subgroup  # structure imports this module
 
     def compute():
         closures: list[Subgroup] = []
-        for rep in G.conjugacy_class_reps():
-            if not is_prime(rep.order()):
-                continue
-            N = normal_closure(G, subgroup(G, [rep], check=False))
-            if not any(subgroups_equal(N, M) for M in closures):
-                closures.append(N)
+        for p in primes_dividing(G.order()):
+            Z = center(sylow_subgroup(G, p).carrier).carrier
+            met: set[tuple[int, ...]] = set()  # generators of the <z> already closed
+            for z in Z.sorted_element_stream():
+                if z in met or order_of_tuple(z) != p:
+                    continue
+                x = z
+                for _ in range(p - 1):
+                    met.add(x)
+                    x = compose_tuples(x, z)
+                N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, (z,))))
+                if not any(subgroups_equal(N, M) for M in closures):
+                    closures.append(N)
         minimal = [
             N
             for N in closures

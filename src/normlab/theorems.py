@@ -206,6 +206,7 @@ def is_maximal_normalizer(
 @dataclass
 class FrobeniusProductResult:
     passed: bool
+    product_order: int  # order of the join of kernel and complement
     reason: str = ""
     witness: str = ""
 
@@ -224,28 +225,27 @@ def is_frobenius_product(G: Group, K: Subgroup, H: Subgroup) -> FrobeniusProduct
     and no non-identity element of H centralizes a non-identity element of K.
     """
     if K.order() == 1 or H.order() == 1:
-        return FrobeniusProductResult(False, "kernel and complement must be non-trivial")
+        return FrobeniusProductResult(
+            False, K.order() * H.order(), "kernel and complement must be non-trivial"
+        )
     product = join(G, K, H)
+    n = product.order()
     if not is_normal(product.carrier, Subgroup(product.carrier, K.carrier)):
-        return FrobeniusProductResult(False, "kernel is not normal in the product")
+        return FrobeniusProductResult(False, n, "kernel is not normal in the product")
     meet = intersection(G, K, H)
     if meet.order() != 1:
+        return FrobeniusProductResult(False, n, "kernel meets complement", fingerprint(meet))
+    if K.order() * H.order() != n:
         return FrobeniusProductResult(
-            False, "kernel meets complement", fingerprint(meet)
-        )
-    if K.order() * H.order() != product.order():
-        return FrobeniusProductResult(
-            False,
-            "order product mismatch",
-            f"{K.order()}*{H.order()} != {product.order()}",
+            False, n, "order product mismatch", f"{K.order()}*{H.order()} != {n}"
         )
     bound = get_limits().enum_bound
     if K.order() > bound or H.order() > bound:
         raise OrderTooLarge("Frobenius centralizer scan exceeds the enumeration bound")
     pair = _commuting_pair(H, K)
     if pair is not None:
-        return FrobeniusProductResult(False, "fixed point", "{} centralizes {}".format(*pair))
-    return FrobeniusProductResult(True)
+        return FrobeniusProductResult(False, n, "fixed point", "{} centralizes {}".format(*pair))
+    return FrobeniusProductResult(True, n)
 
 
 def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
@@ -427,7 +427,7 @@ def verify_comp22(
     ZF = center(fitting_subgroup(Hbar.carrier).carrier)
     Z_in_Q = Subgroup(Q, ZF.carrier)
     frob = is_frobenius_product(Q, F, Z_in_Q)
-    report.metadata["frobenius_product_order"] = join(Q, F, Z_in_Q).order()
+    report.metadata["frobenius_product_order"] = frob.product_order
     report.conclusion_checks.append(
         Check(
             "fitting-times-centre-is-frobenius",

@@ -2,16 +2,27 @@
 
 Everything here works by exhaustive closure over explicit element lists and
 never touches stabilizer chains, so agreement with the library is a real
-two-path check.
+two-path check. The one exception, ``class_rep_minimal_normals``, keeps the
+library's normal closures but draws its candidates from conjugacy classes,
+for groups too large for the brute oracles.
 """
 
 from __future__ import annotations
 
+from functools import cmp_to_key
 from itertools import combinations
 
-from normlab.arith import is_prime_power
+from normlab.arith import is_prime, is_prime_power
 from normlab.closure import dimino_extend, orbit
+from normlab.group import Group
 from normlab.perm import Perm, compose_tuples, conjugate_tuple, identity_tuple
+from normlab.subgroups import (
+    Subgroup,
+    _compare_element_streams,
+    normal_closure,
+    subgroup_le,
+    subgroups_equal,
+)
 
 
 def mul(a: Perm, b: Perm) -> Perm:
@@ -186,6 +197,26 @@ def brute_minimal_normals(ambient: set[Perm], degree: int) -> list[frozenset[Per
         closures.add(frozenset(mulclose(sorted(cls), degree)))
     minimal = [N for N in closures if not any(M < N for M in closures)]
     return sorted(minimal, key=lambda N: (len(N), sorted(N)))
+
+
+def class_rep_minimal_normals(G: Group) -> list[Subgroup]:
+    """Minimal normal subgroups from one prime-order element per conjugacy
+    class of G: the normal closure depends only on the class, and a minimal
+    normal subgroup is the closure of any of its elements of prime order.
+    Deduplicated, filtered for minimality and sorted as the library sorts."""
+    closures: list[Subgroup] = []
+    for rep in G.conjugacy_class_reps():
+        if not is_prime(rep.order()):
+            continue
+        N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, (rep.images,))))
+        if not any(subgroups_equal(N, M) for M in closures):
+            closures.append(N)
+    minimal = [
+        N
+        for N in closures
+        if not any(M.order() < N.order() and subgroup_le(M, N) for M in closures)
+    ]
+    return sorted(minimal, key=cmp_to_key(_compare_element_streams))
 
 
 def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:

@@ -292,11 +292,11 @@ def test_analyze_over_bound_is_skipped(capsys):
 
 
 def test_large_groups_are_not_enumerated(capsys, monkeypatch):
-    # the Sylow seed, class representatives, centre and the order of the
-    # minimal normal subgroups come from the chain and the sorted element
-    # stream: no group above order 10 000 has its element set or its sorted
-    # list built from the chain (sets that ``from_element_tuples`` receives,
-    # such as backtrack results, are not enumerations)
+    # the Sylow seed and the centre come from the chain and the sorted
+    # element stream, and the minimal normal subgroups from the streams of
+    # the Sylow centres: no group above order 10 000 has its element set or
+    # its sorted list built from the chain (sets that ``from_element_tuples``
+    # receives, such as backtrack results, are not enumerations)
     built = []
     for name, key in (("element_tuples", "elements"), ("sorted_element_tuples", "sorted_elements")):
 
@@ -313,6 +313,25 @@ def test_large_groups_are_not_enumerated(capsys, monkeypatch):
         code, _, _ = run_cli([*argv, "--format", "json"], capsys)
         assert code == 0
         assert [n for n in built if n > 10_000] == [], argv
+
+
+def test_minimal_normals_take_no_conjugacy_classes(capsys, monkeypatch):
+    # minimal normal subgroups are closures of elements of the Sylow centres:
+    # neither analyze nor the simp verifier walks the conjugacy classes
+    calls = []
+
+    def spy(self, method=Group.conjugacy_class_reps):
+        calls.append(self.order())
+        return method(self)
+
+    monkeypatch.setattr(Group, "conjugacy_class_reps", spy)
+    for argv in (
+        ["analyze", "--group", "S:9"],
+        ["verify", "simp", "--group", "PSL2:31", "--subgroup", "syl:2"],
+    ):
+        code, _, _ = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0
+        assert calls == [], argv
 
 
 def test_coset_action_bound_is_skipped(capsys):

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from normlab import subgroups as subgroups_module
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.limits import Limits, using_limits
@@ -38,6 +39,7 @@ from oracles import (
     brute_normalizer,
     brute_subgroups_extension,
     brute_subgroups_subset_scan,
+    class_rep_minimal_normals,
     filter_normalizer,
     lattice_by_cyclic_joins,
     mulclose,
@@ -416,6 +418,36 @@ def test_minimal_normals_match_class_closure_oracle():
         ambient = mulclose(list(G.generators), G.degree)
         got = [frozenset(_elements(M)) for M in minimal_normal_subgroups(G)]
         assert got == brute_minimal_normals(ambient, G.degree), str(spec)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["S:7", "PSL2:19", "PSL2:23", "AGL1:61", "PROD(A:5,A:5)", "PROD(S:5,S:4)",
+     "PROD(PSL2:7,S:4)", "PROD(S:3,S:3)"],
+)
+def test_minimal_normals_match_class_rep_oracle(spec):
+    # groups beyond the brute oracle: closures of one prime-order element per
+    # conjugacy class give the same sorted list as the Sylow-centre candidates
+    G, _ = build(parse_spec(spec))
+    got = minimal_normal_subgroups(G)
+    want = class_rep_minimal_normals(G)
+    assert [M.order() for M in got] == [M.order() for M in want]
+    assert all(subgroups_equal(A, B) for A, B in zip(got, want))
+
+
+def test_minimal_normals_close_one_element_per_prime(monkeypatch):
+    # the Sylow 2-, 5- and 101-subgroups of AGL1:101 are cyclic, so each
+    # centre has one subgroup of prime order: three normal closures in all
+    calls = []
+
+    def counting(ambient, A, inner=normal_closure):
+        calls.append(A.order())
+        return inner(ambient, A)
+
+    monkeypatch.setattr(subgroups_module, "normal_closure", counting)
+    G, _ = build(parse_spec("AGL1:101"))
+    assert [M.order() for M in minimal_normal_subgroups(G)] == [101]
+    assert calls == [2, 5, 101]
 
 
 def test_is_simple():

@@ -116,7 +116,17 @@ def test_maxnorm_modes_differ_where_expected():
 def test_frobenius_product_a4(a4):
     V = p_core(a4, 2)
     C3 = subgroup(a4, [perm_from_cycles(4, [[1, 2, 3]])])
-    assert is_frobenius_product(a4, V, C3).passed
+    res = is_frobenius_product(a4, V, C3)
+    assert res.passed
+    assert res.product_order == 12
+
+
+def test_frobenius_product_order_with_a_trivial_factor(a4):
+    # no join is built, but the order is the one the join would have
+    V = p_core(a4, 2)
+    res = is_frobenius_product(a4, V, trivial_subgroup(a4))
+    assert not res.passed
+    assert res.product_order == 4
 
 
 def test_frobenius_product_s4_fails(s4):
@@ -125,6 +135,7 @@ def test_frobenius_product_s4_fails(s4):
     res = is_frobenius_product(s4, V, S3)
     assert not res.passed
     assert "centralizes" in res.witness
+    assert res.product_order == 24
 
 
 def test_frobenius_product_abelian_fails():
