@@ -153,7 +153,9 @@ def normal_closure(ambient: Group, A: Subgroup) -> Subgroup:
 
     Generators of A and conjugates of kept generators by ambient generators
     are queued; only those outside the chain so far are kept, so the
-    generator list stays short however many elements are queued.
+    generator list stays short however many elements are queued. A closure
+    of the ambient group's order is the ambient group itself, so its caches
+    are shared.
     """
     _check_ambient(ambient, A)
     chain = build_chain(ambient.degree, ())
@@ -170,6 +172,8 @@ def normal_closure(ambient: Group, A: Subgroup) -> Subgroup:
         queue.extend(conjugate_tuple(h, g) for g in ambient.generator_tuples)
     if not gens:
         return trivial_subgroup(ambient)
+    if chain.order() == ambient.order():
+        return whole(ambient)
     carrier = Group.from_generator_tuples(ambient.degree, gens)
     carrier._chain = chain
     return Subgroup(ambient, carrier)

@@ -16,7 +16,6 @@ from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
 from .errors import DoesNotNormalize, OrderTooLarge
 from .group import Group
-from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
     derived_series,
@@ -40,7 +39,6 @@ from .subgroups import (
     intersection,
     is_normal,
     is_simple,
-    join,
     minimal_normal_subgroups,
     normalizer,
     subgroup_le,
@@ -206,51 +204,53 @@ def is_maximal_normalizer(
 @dataclass
 class FrobeniusProductResult:
     passed: bool
-    product_order: int  # order of the join of kernel and complement
+    product_order: int  # |K||H|/|K meet H|, the order of KH when H normalizes K
     reason: str = ""
     witness: str = ""
 
 
 @dataclass
 class FrobeniusDecomposition:
-    """A Frobenius kernel/complement pair inside an ambient group."""
+    """A Frobenius kernel/complement pair whose product is the ambient group."""
 
     kernel: Subgroup
     complement: Subgroup
-    product_is_whole: bool
 
 
 def is_frobenius_product(G: Group, K: Subgroup, H: Subgroup) -> FrobeniusProductResult:
-    """Test that K is normal in KH, meets H trivially, the orders multiply,
-    and no non-identity element of H centralizes a non-identity element of K.
+    """Test that H normalizes K, meets it trivially, and that no non-identity
+    element of H centralizes a non-identity element of K. No product is
+    built, and the first two tests imply |KH| = |K||H|.
     """
     if K.order() == 1 or H.order() == 1:
         return FrobeniusProductResult(
             False, K.order() * H.order(), "kernel and complement must be non-trivial"
         )
-    product = join(G, K, H)
-    n = product.order()
-    if not is_normal(product.carrier, Subgroup(product.carrier, K.carrier)):
-        return FrobeniusProductResult(False, n, "kernel is not normal in the product")
     meet = intersection(G, K, H)
+    n = K.order() * H.order() // meet.order()
+    if _non_normalizing_generator(K, H) is not None:
+        return FrobeniusProductResult(False, n, "kernel is not normal in the product")
     if meet.order() != 1:
         return FrobeniusProductResult(False, n, "kernel meets complement", fingerprint(meet))
-    if K.order() * H.order() != n:
-        return FrobeniusProductResult(
-            False, n, "order product mismatch", f"{K.order()}*{H.order()} != {n}"
-        )
-    bound = get_limits().enum_bound
-    if K.order() > bound or H.order() > bound:
-        raise OrderTooLarge("Frobenius centralizer scan exceeds the enumeration bound")
     pair = _commuting_pair(H, K)
     if pair is not None:
         return FrobeniusProductResult(False, n, "fixed point", "{} centralizes {}".format(*pair))
     return FrobeniusProductResult(True, n)
 
 
+def _non_normalizing_generator(K: Subgroup, H: Subgroup) -> tuple[int, ...] | None:
+    """The first generator of H that conjugates some generator of K out of K,
+    or None when H normalizes K."""
+    for h in H.carrier.generator_tuples:
+        for k in K.carrier.generator_tuples:
+            if not K.carrier.contains_tuple(conjugate_tuple(k, h)):
+                return h
+    return None
+
+
 def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
     """The first non-identity a in A and b in B (in sorted order) with ab == ba,
-    formatted, or None."""
+    formatted, or None. OrderTooLarge above the enumeration bound."""
     ident = identity_tuple(A.carrier.degree)
     b_elems = B.carrier.sorted_element_tuples()
     for a in A.carrier.sorted_element_tuples():
@@ -263,11 +263,15 @@ def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
 
 
 def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
-    """Search for a Frobenius kernel/complement pair with K*H = G.
+    """A Frobenius kernel/complement pair with K*H = G, or None.
 
-    Tries the Fitting subgroup first, then every normal subgroup, with
-    complements drawn from the subgroup list by complementary order.
-    Returns the first passing pair, or None.
+    The kernel tried is the Fitting subgroup F, the only possible one: a
+    Frobenius kernel K is nilpotent (Thompson, PNAS 45, 1959), so K <= F. If
+    F > K then F meets the complement H non-trivially (Dedekind), and a
+    non-identity element of F meet H centralizes Z(F) meet K, which is
+    non-trivial because K is a non-trivial normal subgroup of the nilpotent
+    F. The complement is the first subgroup of order |G|/|F| in lattice
+    order that passes `is_frobenius_product`.
     """
     n = G.order()
     if n == 1:
@@ -276,21 +280,13 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
         # Frobenius groups have trivial centre
         return None
     subs = enumerate_subgroups(G)
-    kernels = [fitting_subgroup(G)]
-    for S in subs:
-        if 1 < S.order() < n and is_normal(G, S) and not subgroups_equal(S, kernels[0]):
-            kernels.append(S)
-    for K in kernels:
-        k = K.order()
-        if k <= 1 or k >= n:
-            continue
-        d = n // k
-        for H in subs:
-            if H.order() != d:
-                continue
-            res = is_frobenius_product(G, K, H)
-            if res.passed:
-                return FrobeniusDecomposition(K, H, product_is_whole=True)
+    K = fitting_subgroup(G)
+    if K.order() == 1:
+        return None
+    d = n // K.order()
+    for H in subs:
+        if H.order() == d and is_frobenius_product(G, K, H).passed:
+            return FrobeniusDecomposition(K, H)
     return None
 
 
@@ -300,13 +296,11 @@ def fixed_point_free(K: Subgroup, Phi: Subgroup) -> tuple[bool, str]:
     Phi must normalize K (it acts on K by conjugation); otherwise
     DoesNotNormalize is raised.
     """
-    for ph in Phi.carrier.generator_tuples:
-        for kg in K.carrier.generator_tuples:
-            if not K.carrier.contains_tuple(conjugate_tuple(kg, ph)):
-                raise DoesNotNormalize(
-                    f"{format_perm(Perm(ph, _checked=True))} does not normalize"
-                    " the acted-on subgroup"
-                )
+    ph = _non_normalizing_generator(K, Phi)
+    if ph is not None:
+        raise DoesNotNormalize(
+            f"{format_perm(Perm(ph, _checked=True))} does not normalize the acted-on subgroup"
+        )
     pair = _commuting_pair(Phi, K)
     if pair is not None:
         return False, "{} fixes {}".format(*pair)
@@ -583,12 +577,7 @@ def verify_simp(
         return _finish(report, started)
     K = minimals[0]
 
-    if is_simple(K.carrier):
-        factors = [K]
-    else:
-        factors = [
-            Subgroup(G, M.carrier) for M in minimal_normal_subgroups(K.carrier)
-        ]
+    factors = [Subgroup(G, M.carrier) for M in minimal_normal_subgroups(K.carrier)]
     orders = [S.order() for S in factors]
     factors_ok = (
         not is_abelian(K.carrier)

@@ -2,9 +2,11 @@
 
 Everything here works by exhaustive closure over explicit element lists and
 never touches stabilizer chains, so agreement with the library is a real
-two-path check. The one exception, ``class_rep_minimal_normals``, keeps the
+two-path check. Two exceptions: ``class_rep_minimal_normals`` keeps the
 library's normal closures but draws its candidates from conjugacy classes,
-for groups too large for the brute oracles.
+for groups too large for the brute oracles; ``frobenius_by_normal_kernels``
+walks the library's subgroup lattice, because the answer it checks is defined
+by lattice order, but tests each pair on explicit element sets.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from normlab.perm import Perm, compose_tuples, conjugate_tuple, identity_tuple
 from normlab.subgroups import (
     Subgroup,
     _compare_element_streams,
+    enumerate_subgroups,
     normal_closure,
     subgroup_le,
     subgroups_equal,
@@ -232,3 +235,45 @@ def brute_normal_closure(ambient: set[Perm], gens: list[Perm], degree: int) -> s
 def filter_normalizer(ambient: set[Perm], H_gens: list[Perm], H: set[Perm]) -> set[Perm]:
     """Elements g with h^g in H for every generator h of H (H finite)."""
     return {g for g in ambient if all(conj(h, g) in H for h in H_gens)}
+
+
+def frobenius_by_normal_kernels(G: Group) -> tuple[Subgroup, Subgroup] | None:
+    """The first Frobenius kernel/complement pair (K, H) with KH = G, trying
+    every proper non-trivial normal subgroup K in lattice order, and for each
+    every subgroup H of order |G|/|K| in lattice order; None if none passes.
+
+    No kernel is singled out: a pair passes when H meets K trivially, the
+    generators of H conjugate those of K into K, and no non-identity element
+    of H commutes with a non-identity element of K, all tested on element
+    sets."""
+    n = G.order()
+    ident = identity_tuple(G.degree)
+    subs = enumerate_subgroups(G)
+    kernels = [
+        K
+        for K in subs
+        if 1 < K.order() < n
+        and all(
+            conjugate_tuple(k, g) in K.carrier.element_tuples()
+            for k in K.carrier.generator_tuples
+            for g in G.generator_tuples
+        )
+    ]
+    for K in kernels:
+        ks = K.carrier.element_tuples()
+        for H in subs:
+            if H.order() * K.order() != n:
+                continue
+            hs = H.carrier.element_tuples()
+            if ks & hs != {ident}:
+                continue
+            if not all(
+                conjugate_tuple(k, h) in ks
+                for k in K.carrier.generator_tuples
+                for h in H.carrier.generator_tuples
+            ):
+                continue
+            if any(conjugate_tuple(k, h) == k for h in hs - {ident} for k in ks - {ident}):
+                continue
+            return K, H
+    return None

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +62,20 @@ def test_verify_comp22_confirmed(capsys):
     )
     assert code == 0
     assert "confirmed" in out
+
+
+def test_verify_comp22_with_a_non_abelian_fitting_subgroup(capsys):
+    # 7^{1+2}:3: the complement K = Fit(G/C) is the extraspecial group 7^{1+2}
+    path = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
+    code, out, _ = run_cli(
+        ["verify", "comp22", "--group", f"FILE:{path}", "--subgroup", "syl:3",
+         "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "confirmed"
+    assert report["metadata"]["frobenius_product_order"] == 1029
 
 
 def test_verify_comp22_psl217_hypotheses_not_met(capsys):
@@ -332,6 +347,26 @@ def test_minimal_normals_take_no_conjugacy_classes(capsys, monkeypatch):
         code, _, _ = run_cli([*argv, "--format", "json"], capsys)
         assert code == 0
         assert calls == [], argv
+
+
+def test_simp_grows_the_sylow_2_subgroup_once(capsys, monkeypatch):
+    # the minimal normal subgroup of the simple PSL2:31 is the group object
+    # itself, so the factor checks read its Sylow subgroup instead of growing
+    # one on a copy
+    grown = []
+
+    def spy(self, key, thunk, method=Group.cached):
+        if key == ("sylow", 2) and key not in self._cache:
+            grown.append(self.order())
+        return method(self, key, thunk)
+
+    monkeypatch.setattr(Group, "cached", spy)
+    code, _, _ = run_cli(
+        ["verify", "simp", "--group", "PSL2:31", "--subgroup", "syl:2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    assert grown.count(14880) == 1  # the order-32 H is asked for its own once too
 
 
 def test_coset_action_bound_is_skipped(capsys):

@@ -7,8 +7,9 @@ import pytest
 from normlab import subgroups as subgroups_module
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
+from normlab.group import Group
 from normlab.limits import Limits, using_limits
-from normlab.perm import conjugate_tuple, perm_from_cycles
+from normlab.perm import conjugate_tuple, order_of_tuple, perm_from_cycles
 from normlab.subgroups import (
     Subgroup,
     center,
@@ -116,6 +117,15 @@ def test_normal_closure_of_double_transposition(s4):
 
 def test_normal_closure_of_trivial(s4):
     assert normal_closure(s4, trivial_subgroup(s4)).order() == 1
+
+
+def test_normal_closure_of_the_whole_order_is_the_ambient_group():
+    # PSL2:31 is simple, so an involution's closure is the whole group; it is
+    # returned as the ambient object itself, whose caches it then shares
+    G, P = build(parse_spec("PSL2:31", selector="syl:2"))
+    z = next(x for x in P.carrier.sorted_element_stream() if order_of_tuple(x) == 2)
+    N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, (z,))))
+    assert N.carrier is G
 
 
 def test_core_point_stabilizer_is_trivial(s4):

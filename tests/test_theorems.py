@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from normlab.catalog import build, parse_spec, select_subgroup
+from normlab.catalog import build, default_sweep, parse_spec, select_subgroup
 from normlab.errors import DoesNotNormalize
-from normlab.limits import Limits, using_limits
+from normlab.limits import Limits, get_limits, using_limits
 from normlab.perm import perm_from_cycles
-from normlab.structure import fitting_subgroup, p_core, sylow_subgroup
+from normlab.structure import fitting_subgroup, is_abelian, p_core, sylow_subgroup
 from normlab.subgroups import (
     Subgroup,
     conjugate_subgroup,
     core,
     enumerate_subgroups,
+    fingerprint,
     is_normal,
     subgroup,
     trivial_subgroup,
@@ -37,6 +39,10 @@ from normlab.theorems import (
     verify_thompson,
 )
 from normlab.verdict import VerdictReport
+
+from oracles import frobenius_by_normal_kernels
+
+EXTRASPECIAL_FROBENIUS = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
 
 
 def _stab(G, k):
@@ -138,6 +144,25 @@ def test_frobenius_product_s4_fails(s4):
     assert res.product_order == 24
 
 
+def test_frobenius_product_kernel_not_normal(s4):
+    # no product is built: its order is |K||H| / |K meet H| as a set
+    K = subgroup(s4, [perm_from_cycles(4, [[1, 2, 3]])])
+    H = subgroup(s4, [perm_from_cycles(4, [[1, 4]])])
+    res = is_frobenius_product(s4, K, H)
+    assert not res.passed
+    assert res.reason == "kernel is not normal in the product"
+    assert res.product_order == 6
+
+
+def test_frobenius_product_kernel_meets_complement(s4):
+    V = p_core(s4, 2)
+    res = is_frobenius_product(s4, V, sylow_subgroup(s4, 2))
+    assert not res.passed
+    assert res.reason == "kernel meets complement"
+    assert res.witness == "4:(1 2)(3 4),(1 3)(2 4)"
+    assert res.product_order == 8
+
+
 def test_frobenius_product_abelian_fails():
     C6, _ = build(parse_spec("C:6"))
     C3 = subgroup(C6, [perm_from_cycles(6, [[1, 3, 5], [2, 4, 6]])])
@@ -151,7 +176,6 @@ def test_frobenius_decomposition_a4(a4):
     assert dec is not None
     assert dec.kernel.order() == 4
     assert dec.complement.order() == 3
-    assert dec.product_is_whole
     # the defining properties of the decomposition
     meet = dec.kernel.carrier.element_tuples() & dec.complement.carrier.element_tuples()
     assert len(meet) == 1
@@ -171,6 +195,43 @@ def test_frobenius_decomposition_none():
     for name in ("C:6", "S:4", "D:4", "PSL2:5"):
         G, _ = build(parse_spec(name))
         assert frobenius_decomposition(G) is None, name
+
+
+@pytest.fixture(scope="module")
+def extraspecial_frobenius():
+    """7^{1+2}:3 on F_7^2: the Frobenius kernel is the extraspecial group
+    7^{1+2}, so Fit(G) is non-abelian."""
+    G, _ = build(parse_spec(f"FILE:{EXTRASPECIAL_FROBENIUS}"))
+    return G
+
+
+def test_frobenius_decomposition_non_abelian_kernel(extraspecial_frobenius):
+    G = extraspecial_frobenius
+    assert G.order() == 1029
+    F = fitting_subgroup(G)
+    assert F.order() == 343
+    assert not is_abelian(F.carrier)
+    dec = frobenius_decomposition(G)
+    assert (dec.kernel.order(), dec.complement.order()) == (343, 3)
+    res = is_frobenius_product(G, F, select_subgroup(G, "syl:3"))
+    assert res.passed
+    assert res.product_order == 1029
+
+
+def test_frobenius_decomposition_matches_normal_kernel_oracle(extraspecial_frobenius):
+    # the oracle tries every normal subgroup as the kernel; the library tries
+    # only the Fitting subgroup
+    groups = [build(spec)[0] for spec in default_sweep(2500)]
+    bound = get_limits().subgroup_bound
+    for G in [*(G for G in groups if G.order() <= bound), extraspecial_frobenius]:
+        dec = frobenius_decomposition(G)
+        expected = frobenius_by_normal_kernels(G)
+        if expected is None:
+            assert dec is None, G
+            continue
+        assert dec is not None, G
+        assert fingerprint(dec.kernel) == fingerprint(expected[0])
+        assert fingerprint(dec.complement) == fingerprint(expected[1])
 
 
 # -- fixed point free actions -------------------------------------------------------
