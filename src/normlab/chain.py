@@ -4,7 +4,8 @@ Each new base point is the smallest point not yet in the base (after any
 hint), and a level is appended for every such point until one is moved by
 the residue that needs it; the levels in between have trivial transversals.
 A chain grown without a hint therefore has the base 1, 2, .., k with every
-level fixing all smaller points, so its depth-first walk is ascending.
+level fixing all smaller points, so its depth-first walk is ascending; that
+walk, pruned per node by its callers, is the only search over a chain.
 Transversal entries are never overwritten once created, which keeps earlier
 sift verdicts valid while the chain grows and makes the whole construction
 deterministic. Permutations are image tuples throughout.
@@ -12,8 +13,10 @@ deterministic. Permutations are image tuples throughout.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import prod
-from typing import Iterable, Iterator, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantViolated, PointOutOfRange
 from .perm import compose_tuples, identity_tuple, inverse_tuple
@@ -155,11 +158,19 @@ class StabilizerChain:
         enumeration (``walk`` serves readers that may stop early)."""
         return self.walk()
 
-    def walk(self) -> Iterator[Images]:
+    def branching_levels(self) -> list[_Level]:
+        """The levels with a non-trivial transversal, the only ones a walk branches on."""
+        return [lvl for lvl in self.levels if len(lvl.transversal) > 1]
+
+    def walk(self, prune: Callable | None = None, root: object = None) -> Iterator[Images]:
         """Every product u_k * .. * u_1 of transversal entries, depth first
         with each prefix's children in ascending order: each element exactly
-        once on any chain. The walk keeps an explicit stack of iterators,
-        one per level; levels with a trivial transversal are skipped.
+        once on any chain, from an explicit stack of iterators, one per
+        branching level. It is the only depth-first search over a chain:
+        ``prune(i, state, children)``, when given, is called once per node
+        with its children at branching level i and its state (``root`` at
+        the top), and returns the (child, state) pairs to keep; sorted by
+        child, they make a pruned walk the full walk minus the cut subtrees.
 
         On an ascending base whose levels fix every smaller point (any chain
         grown without a hint) the walk is in ascending image-tuple order: an
@@ -168,25 +179,29 @@ class StabilizerChain:
         first at that base's image (Sims's lexicographic coset
         representatives).
         """
-        reps = [
-            [u for u, _ in lvl.transversal.values()]
-            for lvl in self.levels
-            if len(lvl.transversal) > 1
-        ]
+        reps = [[u for u, _ in lvl.transversal.values()] for lvl in self.branching_levels()]
         if not reps:
             yield self.ident
             return
-        stack = [iter((self.ident,))]
+        last = len(reps) - 1
+        stack = [iter(((self.ident, root),))]
         while stack:
-            prefix = next(stack[-1], None)
-            if prefix is None:
+            node = next(stack[-1], None)
+            if node is None:
                 stack.pop()
                 continue
-            children = sorted([compose_tuples(u, prefix) for u in reps[len(stack) - 1]])
-            if len(stack) == len(reps):
+            i = len(stack) - 1
+            children = [compose_tuples(u, node[0]) for u in reps[i]]
+            if prune is None:
+                children.sort()
+                kept = children if i == last else zip(children, repeat(None))
+            else:
+                kept = sorted(prune(i, node[1], children), key=itemgetter(0))
+                children = [child for child, _ in kept]
+            if i == last:
                 yield from children
             else:
-                stack.append(iter(children))
+                stack.append(iter(kept))
 
     def extended(self, new_gens: Iterable[Images]) -> "StabilizerChain":
         """A new chain for the group generated by this one plus new_gens."""

@@ -190,7 +190,7 @@ class Group:
         group._cache["order"] = len(elem_set)
         ordered = group._cache["sorted_elements"] = sorted(elem_set)
         gens, closed = _canonical_generators(degree, ordered)
-        if len(closed) != len(elem_set):
+        if closed != elem_set:
             raise InvariantViolated("element set is not closed under multiplication")
         group.generator_tuples = group._cache["canonical_gens"] = tuple(gens)
         return group

@@ -34,13 +34,13 @@ from .perm import (
 from .subgroups import (
     Subgroup,
     _check_ambient,
+    _normalizing_elements,
     _same_group,
     core,
     enumerate_subgroups,
     is_normal,
     join,
     normal_closure,
-    normalizer,
     trivial_subgroup,
     whole,
 )
@@ -177,52 +177,35 @@ def fitting_length(G: Group) -> int:
 def sylow_subgroup(G: Group, p: int) -> Subgroup:
     """A subgroup whose order is the full p-part of the group order.
 
-    Grows a p-subgroup P by locating an element of its normalizer whose
-    p-part falls outside P and adjoining a suitable power, until the full
-    p-part is reached. Trivial when p does not divide the order.
+    Grows a p-subgroup P, from the trivial one, by locating an element of
+    its normalizer whose p-part falls outside P and adjoining a suitable
+    power, until the full p-part is reached; each round reads N_G(P)'s
+    ascending stream only up to its first such element.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
 
     def compute():
         target = p_part(G.order(), p)
-        if target == 1:
-            return trivial_subgroup(G)
-        seed = None
-        for x in G.sorted_element_stream():
-            m = order_of_tuple(x)
-            v = p_valuation(m, p)
-            if v:
-                seed = power_tuple(x, m // p**v)
-                break
-        if seed is None:
-            raise InvariantViolated(f"no element of order divisible by {p}")
-        P = Group.from_generator_tuples(G.degree, (seed,))
-        rounds = 0
-        max_rounds = p_valuation(target, p) + 1
-        while P.order() < target:
-            rounds += 1
-            if rounds > max_rounds:
-                raise InvariantViolated("Sylow growth failed to terminate")
-            N = normalizer(G, Subgroup(G, P)).carrier
-            z = None
-            for y in N.sorted_element_stream():
+        P = Group.from_element_tuples(G.degree, [identity_tuple(G.degree)])  # needs no chain
+        for _ in range(p_valuation(target, p) + 1):
+            if P.order() == target:
+                return Subgroup(G, P)
+            P_sub = Subgroup(G, P)
+            normal = P.order() == 1 or is_normal(G, P_sub)
+            for y in G.sorted_element_stream() if normal else _normalizing_elements(G, P_sub):
                 m = order_of_tuple(y)
-                v = p_valuation(m, p)
-                if v == 0:
-                    continue
-                yp = power_tuple(y, m // p**v)
-                if not P.contains_tuple(yp):
-                    z = yp
-                    break
-            if z is None:
+                if m % p == 0:
+                    z = power_tuple(y, m // p_part(m, p))
+                    if not P.contains_tuple(z):
+                        break
+            else:
                 raise InvariantViolated("normalizer of a non-Sylow p-subgroup must grow it")
-            # reduce z so that z^p lands in P (image of order exactly p)
-            w = z
-            while not P.contains_tuple(power_tuple(w, p)):
-                w = power_tuple(w, p)
-            P = Group.from_generator_tuples(G.degree, P.generator_tuples + (w,))
-        return Subgroup(G, P)
+            # the seed keeps its whole p-part; later z are reduced until z^p lands in P
+            while P.order() > 1 and not P.contains_tuple(power_tuple(z, p)):
+                z = power_tuple(z, p)
+            P = Group.from_generator_tuples(G.degree, P.generator_tuples + (z,))
+        raise InvariantViolated("Sylow growth failed to terminate")
 
     return G.cached(("sylow", p), compute)
 

@@ -2,7 +2,8 @@
 
 Generation, intersection, normal closure, core, centralizer, normalizer,
 full subgroup enumeration, minimal normal subgroups, and simplicity.
-All functions are pure over immutable inputs.
+Centralizers and normalizers are pruned walks of the stabilizer chain
+(``StabilizerChain.walk``). All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def core(ambient: Group, H: Subgroup) -> Subgroup:
 
 def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     """Elements of the ambient group commuting with every element of A, by a
-    backtrack over the stabilizer chain; the result is built as an element
+    pruned walk of the stabilizer chain; the result is built as an element
     set, so the ambient order stays under the enumeration bound."""
     _check_ambient(ambient, A)
     ident = identity_tuple(ambient.degree)
@@ -209,8 +210,8 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
         raise OrderTooLarge(f"centralizer search needs order <= {bound}")
     chain = ambient.chain
     # a centralizing element c has c(h(x)) = h(c(x)): once the prefix fixes
-    # the images of base points x and h(x), they must agree; each level that
-    # branches checks the pairs completed since the one before it (the base
+    # the images of base points x and h(x), they must agree; each branching
+    # level checks the pairs completed since the one before it (the base
     # point of a level with a trivial transversal is fixed by the prefix)
     checks = []
     assigned: set[int] = set()
@@ -252,79 +253,76 @@ def is_normal(ambient: Group, H: Subgroup) -> bool:
 
 
 def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
-    """The set of ambient elements g with H^g == H, by a pruned backtrack
-    over the stabilizer chain, memoized on the ambient group by H's element set."""
+    """The set of ambient elements g with H^g == H, by a pruned walk of the
+    stabilizer chain, memoized on the ambient group by H's element set."""
     _check_ambient(ambient, H)
     if H.order() == 1 or is_normal(ambient, H):
         return whole(ambient)
+    elems = _normalizing_elements(ambient, H)  # the bound holds for a memoized H too
+    return ambient.cached(
+        ("normalizer", H.carrier.element_tuples()),
+        lambda: Subgroup(ambient, Group.from_element_tuples(ambient.degree, elems)),
+    )
+
+
+def _normalizing_elements(ambient: Group, H: Subgroup) -> Iterator[tuple[int, ...]]:
+    """N(H)'s elements in ascending order, lazily, for a reader that may stop
+    at its first hit: the chain's walk pruned by H's generators, filtered by
+    "conjugates every generator into H". The bound is checked at the call."""
     bound = get_limits().enum_bound
     if ambient.order() > bound:
         raise OrderTooLarge(
             f"normalizer search: group order {ambient.order()} exceeds bound {bound}"
         )
+    chain = ambient.chain
+    h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
     H_set = H.carrier.element_tuples()
-
-    def compute() -> Subgroup:
-        chain = ambient.chain
-        h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
-        norm = [
-            m
-            for m in _chain_backtrack(chain, h_gens)
-            if all(conjugate_tuple(h, m) in H_set for h in h_gens)
-        ]
-        return Subgroup(ambient, Group.from_element_tuples(ambient.degree, norm))
-
-    return ambient.cached(("normalizer", H_set), compute)
+    walk = _chain_backtrack(chain, h_gens)
+    return (m for m in walk if all(conjugate_tuple(h, m) in H_set for h in h_gens))
 
 
 def _chain_backtrack(
     chain: StabilizerChain, gens: list[tuple[int, ...]], checks: Sequence[Sequence[tuple]] = ()
 ) -> Iterator[tuple[int, ...]]:
-    """The chain's elements that survive two prunes, yielded as candidate
-    leaves for the caller's exact test.
+    """The chain's walk with two prunes: its leaves, in ascending order, are
+    the candidates for the caller's exact test.
 
-    Only levels with a non-trivial transversal branch; the search skips the
-    rest. Branching level i extends the prefix m by a transversal entry and
-    so fixes the image of base point b_i. An element normalizing <gens> maps
-    <gens>-orbits onto orbits of equal size, consistently and injectively;
-    the orbit map built so far rides down the search. ``checks[i]``, when
-    given, lists triples (h, x, h(x)) that branching level i's prefix must
-    satisfy as m(h(x)) = h(m(x)).
+    Branching level i extends the prefix m by a transversal entry and so
+    fixes the image of its base point b_i. An element normalizing <gens>
+    maps <gens>-orbits onto orbits of equal size, consistently and
+    injectively; the orbit map built so far, and the orbits it uses, are
+    each node's state. ``checks[i]``, when given, lists triples (h, x, h(x))
+    that branching level i's children must satisfy as m(h(x)) = h(m(x)).
     """
-    levels = [lvl for lvl in chain.levels if len(lvl.transversal) > 1]
-    degree = chain.degree
-    orbit_id = [-1] * (degree + 1)
+    bases = [lvl.base for lvl in chain.branching_levels()]
+    orbit_id = [-1] * (chain.degree + 1)
     orbit_sizes: list[int] = []
-    for pt in range(1, degree + 1):
+    for pt in range(1, chain.degree + 1):
         if orbit_id[pt] < 0:
             orb = orbit(pt, gens, act_on_point)
             for y in orb:
                 orbit_id[y] = len(orbit_sizes)
             orbit_sizes.append(len(orb))
-    transversals = [[u for u, _ in lvl.transversal.values()] for lvl in levels]
-    n_levels = len(levels)
-    stack = [(0, chain.ident, {}, frozenset())]
-    while stack:
-        idx, m, omap, used = stack.pop()
-        if idx == n_levels:
-            yield m
-            continue
-        base = levels[idx].base
+
+    def prune(i: int, state: tuple, children: list[tuple[int, ...]]) -> list[tuple]:
+        omap, used = state
+        base = bases[i]
         o_src = orbit_id[base]
         committed = omap.get(o_src)
-        level_checks = checks[idx] if checks else ()
-        for t in transversals[idx]:
-            m2 = compose_tuples(t, m)
-            if level_checks and not all(
-                m2[hx - 1] == h[m2[x - 1] - 1] for h, x, hx in level_checks
-            ):
+        level_checks = checks[i] if checks else ()
+        kept = []
+        for m in children:
+            if level_checks and not all(m[hx - 1] == h[m[x - 1] - 1] for h, x, hx in level_checks):
                 continue
-            o_dst = orbit_id[m2[base - 1]]
+            o_dst = orbit_id[m[base - 1]]
             if committed is not None:
                 if committed == o_dst:
-                    stack.append((idx + 1, m2, omap, used))
+                    kept.append((m, state))
             elif orbit_sizes[o_src] == orbit_sizes[o_dst] and o_dst not in used:
-                stack.append((idx + 1, m2, {**omap, o_src: o_dst}, used | {o_dst}))
+                kept.append((m, ({**omap, o_src: o_dst}, used | {o_dst})))
+        return kept
+
+    yield from chain.walk(prune, ({}, frozenset()))
 
 
 # -- subgroup enumeration ------------------------------------------------------

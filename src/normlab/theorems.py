@@ -16,6 +16,7 @@ from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
 from .errors import DoesNotNormalize, OrderTooLarge
 from .group import Group
+from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
     derived_series,
@@ -271,7 +272,8 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
     non-identity element of F meet H centralizes Z(F) meet K, which is
     non-trivial because K is a non-trivial normal subgroup of the nilpotent
     F. The complement is the first subgroup of order |G|/|F| in lattice
-    order that passes `is_frobenius_product`.
+    order that passes `is_frobenius_product`; the lattice is built only
+    when F > 1, but its bound applies whatever F is.
     """
     n = G.order()
     if n == 1:
@@ -279,12 +281,14 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
     if center(G).order() > 1:
         # Frobenius groups have trivial centre
         return None
-    subs = enumerate_subgroups(G)
+    bound = get_limits().subgroup_bound
+    if n > bound:
+        raise OrderTooLarge(f"subgroup enumeration needs order <= {bound}")
     K = fitting_subgroup(G)
     if K.order() == 1:
         return None
     d = n // K.order()
-    for H in subs:
+    for H in enumerate_subgroups(G):
         if H.order() == d and is_frobenius_product(G, K, H).passed:
             return FrobeniusDecomposition(K, H)
     return None

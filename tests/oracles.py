@@ -2,11 +2,13 @@
 
 Everything here works by exhaustive closure over explicit element lists and
 never touches stabilizer chains, so agreement with the library is a real
-two-path check. Two exceptions: ``class_rep_minimal_normals`` keeps the
+two-path check. Three exceptions: ``class_rep_minimal_normals`` keeps the
 library's normal closures but draws its candidates from conjugacy classes,
 for groups too large for the brute oracles; ``frobenius_by_normal_kernels``
 walks the library's subgroup lattice, because the answer it checks is defined
-by lattice order, but tests each pair on explicit element sets.
+by lattice order, but tests each pair on explicit element sets;
+``normalizer_sylow`` grows a Sylow subgroup from whole library normalizers,
+the way the library did before its growth read only the first useful element.
 """
 
 from __future__ import annotations
@@ -14,15 +16,23 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import combinations
 
-from normlab.arith import is_prime, is_prime_power
+from normlab.arith import is_prime, is_prime_power, p_part, p_valuation
 from normlab.closure import dimino_extend, orbit
 from normlab.group import Group
-from normlab.perm import Perm, compose_tuples, conjugate_tuple, identity_tuple
+from normlab.perm import (
+    Perm,
+    compose_tuples,
+    conjugate_tuple,
+    identity_tuple,
+    order_of_tuple,
+    power_tuple,
+)
 from normlab.subgroups import (
     Subgroup,
     _compare_element_streams,
     enumerate_subgroups,
     normal_closure,
+    normalizer,
     subgroup_le,
     subgroups_equal,
 )
@@ -220,6 +230,34 @@ def class_rep_minimal_normals(G: Group) -> list[Subgroup]:
         if not any(M.order() < N.order() and subgroup_le(M, N) for M in closures)
     ]
     return sorted(minimal, key=cmp_to_key(_compare_element_streams))
+
+
+def normalizer_sylow(G: Group, p: int) -> tuple[tuple[int, ...], ...]:
+    """Generators of a Sylow p-subgroup grown from whole normalizers: the seed
+    is the p-part of G's first element (ascending) whose order p divides;
+    each round builds N_G(P) with the library's ``normalizer``, takes the
+    first element of its sorted list whose p-part z lies outside P, reduces
+    z until z^p lies in P and adjoins it."""
+    target = p_part(G.order(), p)
+    if target == 1:
+        return ()
+    x = next(x for x in G.sorted_element_stream() if order_of_tuple(x) % p == 0)
+    m = order_of_tuple(x)
+    P = Group.from_generator_tuples(G.degree, (power_tuple(x, m // p_part(m, p)),))
+    for _ in range(p_valuation(target, p)):
+        if P.order() == target:
+            break
+        N = normalizer(G, Subgroup(G, P)).carrier
+        for y in N.sorted_element_stream():
+            m = order_of_tuple(y)
+            z = power_tuple(y, m // p_part(m, p))
+            if m % p == 0 and not P.contains_tuple(z):
+                break
+        while not P.contains_tuple(power_tuple(z, p)):
+            z = power_tuple(z, p)
+        P = Group.from_generator_tuples(G.degree, P.generator_tuples + (z,))
+    assert P.order() == target
+    return P.generator_tuples
 
 
 def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:

@@ -47,6 +47,47 @@ def test_analyze_psl217_json(capsys):
     assert analysis["simple"] is True
 
 
+def test_analyze_psl2_13_builds_no_lattice(capsys, monkeypatch):
+    # Fit(PSL2:13) = 1, so frobenius_decomposition answers None before it
+    # would enumerate the lattice; the document is the one the lattice-first
+    # order gave
+    import normlab.subgroups
+
+    lattice = normlab.subgroups._lattice
+    orders = []
+
+    def recording(G):
+        orders.append(G.order())
+        return lattice(G)
+
+    monkeypatch.setattr(normlab.subgroups, "_lattice", recording)
+    code, out, _ = run_cli(["analyze", "--group", "PSL2:13", "--format", "json"], capsys)
+    doc = json.loads(out)
+    del doc["elapsed_s"]
+    assert code == 0
+    assert doc == {
+        "tool": "normlab",
+        "version": "0.1.0",
+        "invocation": ["analyze", "--group", "PSL2:13", "--format", "json"],
+        "reports": [],
+        "summary": {"status_counts": {}},
+        "analysis": {
+            "group": "PSL2:13",
+            "order": 1092,
+            "degree": 14,
+            "solvable": False,
+            "nilpotent": False,
+            "fitting_order": 1,
+            "fitting_length": None,
+            "center_order": 1,
+            "minimal_normal_orders": [1092],
+            "simple": True,
+            "frobenius": None,
+        },
+    }
+    assert 1092 not in orders
+
+
 def test_analyze_trivial(capsys):
     code, out, _ = run_cli(["analyze", "--group", "C:1", "--format", "json"], capsys)
     assert code == 0

@@ -11,6 +11,7 @@ from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import (
     DegreeMismatch,
     EmptyDegree,
+    InvariantViolated,
     OrderTooLarge,
     PointOutOfRange,
 )
@@ -238,6 +239,32 @@ def test_from_element_tuples_roundtrip(d4):
     rebuilt = Group.from_element_tuples(4, d4.element_tuples())
     assert rebuilt.order() == d4.order()
     assert rebuilt.element_tuples() == d4.element_tuples()
+
+
+def test_from_element_tuples_rejects_a_set_that_is_not_a_group():
+    # (1 2 3 4) alone closes to four elements, as many as the set holds, but
+    # to a different set: {(), (1 2 3 4), (1 3)(2 4), (1 4)(2 3)} is not closed
+    elems = [(1, 2, 3, 4), (2, 3, 4, 1), (3, 4, 1, 2), (4, 3, 2, 1)]
+    with pytest.raises(InvariantViolated):
+        Group.from_element_tuples(4, elems)
+
+
+def test_walk_prune_is_called_once_per_node_and_its_kept_children_ascend(s4):
+    chain = s4.chain
+    assert list(chain.walk(lambda i, state, kids: [(k, state) for k in kids])) == list(chain.walk())
+    # keep the children in reverse order and tag them with their depth: the
+    # walk sorts what is kept and hands each node's state to its prune call
+    calls = []
+
+    def prune(i, state, kids):
+        calls.append((i, state))
+        return [(k, i + 1) for k in reversed(kids) if k[0] != 2]
+
+    leaves = list(chain.walk(prune, root=0))
+    assert leaves == [t for t in s4.sorted_element_tuples() if t[0] != 2]
+    assert calls[0] == (0, 0) and all(state == i for i, state in calls)
+    # a node per kept prefix above the last branching level: 1 + 3 + 3 * 3
+    assert len(calls) == 13
 
 
 def test_sorted_element_tuples_is_one_cached_list(s4, d4):

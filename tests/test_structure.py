@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -36,7 +37,7 @@ from normlab.subgroups import (
     whole,
 )
 
-from oracles import conj
+from oracles import conj, normalizer_sylow
 
 
 # -- series and solvability -----------------------------------------------------
@@ -179,6 +180,40 @@ def test_sylow_p_part_everywhere():
         for p in primes_dividing(G.order()):
             P = sylow_subgroup(G, p)
             assert P.order() == p_part(G.order(), p), str(spec)
+
+
+def test_sylow_growth_matches_the_normalizer_oracle():
+    # each round takes the first element of G's pruned walk that normalizes
+    # P with its p-part outside P: the same z as the first such element of
+    # N_G(P)'s sorted list, so the generator tuples agree
+    specs = [
+        *default_sweep(2500),
+        *map(parse_spec, ("S:8", "S:9", "PSL2:31", "PSL2:43", "PROD(PSL2:7,S:4)")),
+    ]
+    for spec in specs:
+        for p in primes_dividing(build(spec)[0].order()):
+            want = normalizer_sylow(build(spec)[0], p)
+            got = sylow_subgroup(build(spec)[0], p).carrier.generator_tuples
+            assert got == want, (str(spec), p)
+
+
+def test_sylow_growth_builds_no_normalizer(monkeypatch):
+    import normlab.subgroups
+
+    calls = []
+    normalizer = normlab.subgroups.normalizer
+
+    def counting(*args):
+        calls.append(args)
+        return normalizer(*args)
+
+    # rebind every copy that "from .subgroups import normalizer" left behind
+    for name, module in list(sys.modules.items()):
+        if name.startswith("normlab") and getattr(module, "normalizer", None) is normalizer:
+            monkeypatch.setattr(module, "normalizer", counting)
+    G, _ = build(parse_spec("S:9"))
+    assert [sylow_subgroup(G, p).order() for p in (2, 3)] == [128, 81]
+    assert calls == []
 
 
 def test_two_sylows_are_conjugate(s4):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from normlab import subgroups as subgroups_module
+from normlab.arith import primes_dividing
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.group import Group
@@ -38,6 +39,7 @@ from oracles import (
     brute_minimal_normals,
     brute_normal_closure,
     brute_normalizer,
+    brute_normalizer_tuples,
     brute_subgroups_extension,
     brute_subgroups_subset_scan,
     class_rep_minimal_normals,
@@ -226,6 +228,48 @@ def test_normalizer_backtrack_equals_exhaustive_everywhere():
             H_gens = list(H.generators)
             ex = filter_normalizer(ambient, H_gens, mulclose(H_gens, G.degree))
             assert _elements(normalizer(G, H)) == ex, (name, H)
+
+
+def test_pruned_walks_ascend_and_keep_every_accepted_element(monkeypatch):
+    # the normalizer and centralizer prunes cut subtrees of the chain's walk:
+    # what is left ascends strictly and holds every element the exact test
+    # accepts, here taken from the brute oracles on a chain-free enumeration
+    from normlab.structure import sylow_subgroup
+
+    walks = []
+    backtrack = subgroups_module._chain_backtrack
+
+    def recording(*args):
+        walks.append(list(backtrack(*args)))
+        return iter(walks[-1])
+
+    monkeypatch.setattr(subgroups_module, "_chain_backtrack", recording)
+    specs = [*default_sweep(2500), *map(parse_spec, ("S:7", "PSL2:31"))]
+    checked = 0
+    for spec in specs:
+        G, _ = build(spec)
+        ambient = mulclose(list(G.generators), G.degree)
+        ambient_tuples = {g.images for g in ambient}
+        subs = [subgroup(G, [g]) for g in G.generators]
+        subs += [sylow_subgroup(G, p) for p in primes_dividing(G.order())]
+        for H in subs:
+            if H.order() == 1:
+                continue
+            H_set = H.carrier.element_tuples()
+            accepted = {
+                "normalizer": brute_normalizer_tuples(ambient_tuples, H_set),
+                "centralizer": {
+                    g.images for g in brute_centralizer(ambient, set(H.generators))
+                },
+            }
+            del walks[:]
+            list(subgroups_module._normalizing_elements(G, H))
+            centralizer(G, H)
+            for (kind, want), leaves in zip(accepted.items(), walks, strict=True):
+                assert all(a < b for a, b in zip(leaves, leaves[1:])), (str(spec), kind)
+                assert want <= set(leaves), (str(spec), kind)
+                checked += 1
+    assert checked >= 2 * len(specs)
 
 
 def test_normalizer_contains_subgroup_and_normality():
