@@ -89,35 +89,41 @@ def scan_group(
         stats["skipped_groups"] = 1
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
-    # whether H passes the test in a mode does not change under conjugation
-    # in G, so once one member of a class misses in every mode the rest are
-    # counted without a context; hits need their own context for the reports
+    # conjugating H in G conjugates its core, quotient, H/C, candidates and
+    # their normalizers, so the first member tested of a class settles the
+    # test for the class: a miss in every mode is counted without a context,
+    # and a hit's passing results seed the contexts of the later members,
+    # which are still built per pair because the verifiers read them
     class_of = {
         key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members
     }
-    missed: set[int] = set()
+    passes: dict[int, dict] = {}
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
     ]
     for H in candidates:
         stats["pairs"] += 1
         cls = class_of[H.carrier.element_tuples()]
-        if cls in missed:
+        class_passes = passes.get(cls)
+        if class_passes == {}:
             continue
         subject = dict(base_subject)
         subject["subgroup"] = fingerprint(H)
         subject["subgroup_order"] = H.order()
         try:
             ctx = maximal_normalizer_context(G, H)
-            hit_modes = [m for m in modes if ctx.result(m).passed]
+            if class_passes is None:
+                class_passes = {m: ctx.result(m) for m in modes if ctx.result(m).passed}
+                passes[cls] = class_passes
+            else:
+                ctx.adopt(class_passes)
         except OrderTooLarge as exc:
             reports.append(skip_report("maximal-normalizer", subject, str(exc)))
             continue
-        if not hit_modes:
-            missed.add(cls)
+        if not class_passes:
             continue
         stats["hits"] += 1
-        for mode in hit_modes:
+        for mode in class_passes:
             for thm in theorems:
                 try:
                     rep = VERIFIERS[thm](G, H, mode, ctx)
@@ -319,14 +325,20 @@ def scan(
     intro: bool = True,
     jobs: int = 1,
 ) -> tuple[list[VerdictReport], dict]:
-    """Run the scan over the given specs; returns (reports, summary)."""
+    """Run the scan over the given specs; returns (reports, summary).
+
+    Groups are handed out one at a time, largest order first, so the
+    slowest group starts at once and no worker queues others behind it.
+    """
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
-    selected: list[GroupSpec] = []
+    sized: list[tuple[int, GroupSpec]] = []
     for spec in specs:
-        G, _ = build(spec)
-        if max_order is None or G.order() <= max_order:
-            selected.append(spec)
+        order = build(spec)[0].order()
+        if max_order is None or order <= max_order:
+            sized.append((order, spec))
+    sized.sort(key=lambda item: -item[0])
+    selected = [spec for _, spec in sized]
 
     all_reports: list[VerdictReport] = []
     totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}
@@ -339,7 +351,7 @@ def scan(
     else:
         args = [(str(spec), theorems, modes, intro, get_limits()) for spec in selected]
         with multiprocessing.get_context("fork").Pool(min(jobs, len(selected))) as pool:
-            for dicts, stats in pool.map(_scan_worker, args):
+            for dicts, stats in pool.map(_scan_worker, args, chunksize=1):
                 all_reports.extend(VerdictReport.from_dict(d) for d in dicts)
                 for k in totals:
                     totals[k] += stats.get(k, 0)

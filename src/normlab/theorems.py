@@ -14,7 +14,7 @@ from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
-from .errors import DoesNotNormalize, OrderTooLarge
+from .errors import DoesNotNormalize, InvariantViolated, OrderTooLarge
 from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
@@ -131,21 +131,52 @@ class MaxNormContext:
             self._results[mode] = cached
         return cached
 
-    def _evaluate(self, mode: str) -> MaximalNormalizerResult:
-        not_proper = self.H.order() >= self.G.order()
-        base = dict(
-            mode=mode,
+    def adopt(self, results: dict[str, MaximalNormalizerResult]) -> None:
+        """Take passing results, by mode, from a conjugate pair (G, H^g).
+
+        Conjugation by g carries C, Q, H/C, Fit(H/C), every candidate L and
+        every N_Q(L) to their counterparts for H^g, so a pass for one member
+        of a class is a pass for all of them, with the same core, quotient,
+        H/C and Fitting orders and the same candidate count. A passing result
+        holds nothing else, so an adopted one equals the one `result` would
+        compute. A failing result names a witness of its own pair, so only
+        passes may be adopted.
+        """
+        for mode, res in results.items():
+            if res != self._pass(mode):
+                raise InvariantViolated(f"cannot adopt {res} as a {mode} pass")
+        self._results.update(results)
+
+    def _orders(self) -> dict[str, int]:
+        return dict(
             core_order=self.core.order(),
             quotient_order=self.Q.order(),
             hbar_order=self.Hbar.order(),
             fitting_order=self.fitting.order() if self.fitting else 0,
         )
+
+    def _candidates(self, mode: str) -> list[Subgroup]:
+        return self.candidates_fit if mode == MODE_FIT_NORMAL else self.candidates_h
+
+    def _pass(self, mode: str) -> MaximalNormalizerResult:
+        """The result of `mode` if every candidate's normalizer is H/C."""
+        candidates = self._candidates(mode)
+        return MaximalNormalizerResult(
+            passed=True,
+            mode=mode,
+            candidates_checked=len(candidates),
+            vacuous=not candidates,
+            **self._orders(),
+        )
+
+    def _evaluate(self, mode: str) -> MaximalNormalizerResult:
+        not_proper = self.H.order() >= self.G.order()
+        base = dict(mode=mode, **self._orders())
         if not_proper:
             return MaximalNormalizerResult(
                 passed=False, candidates_checked=0, not_proper=True, **base
             )
-        candidates = self.candidates_fit if mode == MODE_FIT_NORMAL else self.candidates_h
-        for i, L in enumerate(candidates):
+        for i, L in enumerate(self._candidates(mode)):
             NL = normalizer(self.Q, L)
             if not subgroups_equal(NL, self.Hbar):
                 return MaximalNormalizerResult(
@@ -154,12 +185,7 @@ class MaxNormContext:
                     failure=(fingerprint(L), fingerprint(NL)),
                     **base,
                 )
-        return MaximalNormalizerResult(
-            passed=True,
-            candidates_checked=len(candidates),
-            vacuous=not candidates,
-            **base,
-        )
+        return self._pass(mode)
 
 
 def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:

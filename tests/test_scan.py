@@ -5,11 +5,11 @@ import importlib
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import InvalidParameter, NotNormal
+from normlab.errors import InvalidParameter, InvariantViolated, NotNormal
 from normlab.limits import get_limits
 from normlab.scan import intro_suite, scan, scan_group
 from normlab.subgroups import enumerate_subgroups, is_normal, subgroup_classes
-from normlab.theorems import MODES, maximal_normalizer_context
+from normlab.theorems import MODES, MaxNormContext, maximal_normalizer_context
 from normlab.verdict import VerdictReport
 
 scan_module = importlib.import_module("normlab.scan")  # the package exports a scan function
@@ -73,8 +73,10 @@ def test_scan_rejects_fewer_than_one_job():
 
 
 def test_scan_pool_is_capped_at_the_group_count(monkeypatch):
-    # a stand-in context: records the pool size, maps in this process
+    # a stand-in context: records the pool size and what map is handed,
+    # maps in this process
     requested = []
+    dispatched = []
 
     class SerialPool:
         def __init__(self, size):
@@ -86,16 +88,19 @@ def test_scan_pool_is_capped_at_the_group_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
+        def map(self, fn, items, chunksize=None):
+            dispatched.append(([item[0] for item in items], chunksize))
             return [fn(item) for item in items]
 
     class Context:
         Pool = SerialPool
 
     monkeypatch.setattr(scan_module.multiprocessing, "get_context", lambda method: Context())
-    specs = [parse_spec(s) for s in ("S:3", "D:4")]
+    specs = [parse_spec(s) for s in ("S:3", "C:2", "D:4")]
     par, summary = scan(specs, jobs=64, intro=False)
-    assert requested == [2]
+    assert requested == [3]
+    # one group per task, largest order first
+    assert dispatched == [(["D:4", "S:3", "C:2"], 1)]
     seq, serial_summary = scan(specs, jobs=1, intro=False)
     assert _scrub(par) == _scrub(seq) and summary == serial_summary
 
@@ -172,8 +177,9 @@ def test_scan_group_skips_only_bound_errors(monkeypatch):
 
 
 def test_hit_modes_are_constant_on_subgroup_classes():
-    # the scan tests one member per class of subgroups and builds contexts
-    # only for hits; check both against a context for every pair
+    # the scan tests one member per class of subgroups, builds contexts only
+    # for hits and hands them the class's passing results; check all three
+    # against a context for every pair
     for spec in default_sweep(2500):
         G, _ = build(spec)
         if G.order() > get_limits().subgroup_bound:
@@ -189,7 +195,59 @@ def test_hit_modes_are_constant_on_subgroup_classes():
             for key in cls.members:
                 ctx = maximal_normalizer_context(G, by_key[key])
                 assert [m for m in MODES if ctx.result(m).passed] == class_modes, spec
+                for m in class_modes:
+                    assert ctx.result(m) == rep_ctx.result(m), (spec, m)
                 pairs += 1
                 hits += bool(class_modes)
         _, stats = scan_group(spec, theorems=(), intro=False)
         assert (stats["pairs"], stats["hits"]) == (pairs, hits), spec
+
+
+def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
+    # PSL2:7 has 50 hit pairs in fewer classes: later members of a hit class
+    # adopt its results instead of evaluating candidates again
+    spec = parse_spec("PSL2:7")
+    G, _ = build(spec)
+    class_of = {
+        key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members
+    }
+    tested = {
+        class_of[cls.representative.carrier.element_tuples()]
+        for cls in subgroup_classes(G)
+        if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
+    }
+    expected, expected_stats = scan_group(spec, intro=False)
+
+    evaluated = []
+    evaluate = MaxNormContext._evaluate
+
+    def counting(self, mode):
+        evaluated.append((class_of[self.H.carrier.element_tuples()], mode))
+        return evaluate(self, mode)
+
+    monkeypatch.setattr(MaxNormContext, "_evaluate", counting)
+    got, stats = scan_group(spec, intro=False)
+    assert sorted(evaluated) == sorted((c, m) for c in tested for m in MODES)
+    assert stats == expected_stats and expected_stats["hits"] > len(tested)
+    assert _scrub(got) == _scrub(expected)
+
+
+def test_adopt_takes_only_a_pass_that_matches_the_pair():
+    G, _ = build(parse_spec("S:4"))
+    by_order = {}
+    for S in enumerate_subgroups(G):
+        if S.order() < G.order() and not is_normal(G, S):
+            by_order.setdefault(S.order(), []).append(S)
+    # the conjugate S:3s of S:4 hit in both modes; so do the D:4s, with
+    # other orders; the non-normal Klein four-groups miss
+    six, other_six = (maximal_normalizer_context(G, S) for S in by_order[6][:2])
+    passes = {m: six.result(m) for m in MODES}
+    other_six.adopt(passes)
+    assert all(other_six.result(m) is passes[m] for m in MODES)
+    with pytest.raises(InvariantViolated):
+        maximal_normalizer_context(G, by_order[8][0]).adopt(passes)
+    four = maximal_normalizer_context(G, by_order[4][0])
+    failed = {m: four.result(m) for m in MODES}
+    assert not any(r.passed for r in failed.values())
+    with pytest.raises(InvariantViolated):
+        maximal_normalizer_context(G, by_order[4][1]).adopt(failed)
