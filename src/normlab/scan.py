@@ -37,6 +37,7 @@ from .subgroups import (
 )
 from .theorems import (
     MODES,
+    MaxNormContext,
     frobenius_decomposition,
     maximal_normalizer_context,
     verify_burnside_complement,
@@ -90,33 +91,37 @@ def scan_group(
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
     # conjugating H in G conjugates its core, quotient, H/C, candidates and
-    # their normalizers, so the first member tested of a class settles the
-    # test for the class: a miss in every mode is counted without a context,
-    # and a hit's passing results seed the contexts of the later members,
-    # which are still built per pair because the verifiers read them
-    class_of = {
-        key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members
+    # their normalizers, so the test runs once per class, on the context of
+    # its representative: a miss in every mode is counted without a context,
+    # and each member of a hit class gets the class context conjugated onto
+    # it, passes included. A class whose context hits a bound is tested per
+    # member, so each member keeps its own skip report.
+    classes = subgroup_classes(G)
+    where = {
+        key: (i, j) for i, cls in enumerate(classes) for j, key in enumerate(cls.members)
     }
-    passes: dict[int, dict] = {}
+    tested: dict[int, tuple | None] = {}  # class -> (context, passes), None past a bound
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
     ]
     for H in candidates:
         stats["pairs"] += 1
-        cls = class_of[H.carrier.element_tuples()]
-        class_passes = passes.get(cls)
-        if class_passes == {}:
+        i, j = where[H.carrier.element_tuples()]
+        if i not in tested:
+            tested[i] = _class_test(G, classes[i].representative, modes)
+        entry = tested[i]
+        if entry is not None and not entry[1]:
             continue
         subject = dict(base_subject)
         subject["subgroup"] = fingerprint(H)
         subject["subgroup_order"] = H.order()
         try:
-            ctx = maximal_normalizer_context(G, H)
-            if class_passes is None:
-                class_passes = {m: ctx.result(m) for m in modes if ctx.result(m).passed}
-                passes[cls] = class_passes
+            if entry is None:
+                ctx = maximal_normalizer_context(G, H)
+                class_passes = _passes(ctx, modes)
             else:
-                ctx.adopt(class_passes)
+                ctx = entry[0].conjugated(H, classes[i].conjugators[j])
+                class_passes = entry[1]
         except OrderTooLarge as exc:
             reports.append(skip_report("maximal-normalizer", subject, str(exc)))
             continue
@@ -156,6 +161,22 @@ def scan_group(
     return reports, stats
 
 
+def _passes(ctx: MaxNormContext, modes: tuple[str, ...]) -> dict:
+    """The passing results of a context, by mode."""
+    return {m: ctx.result(m) for m in modes if ctx.result(m).passed}
+
+
+def _class_test(G: Group, rep: Subgroup, modes: tuple[str, ...]) -> tuple | None:
+    """(context, passes) for a class representative; the context only when
+    some mode passes. None when a bound stops the test."""
+    try:
+        ctx = maximal_normalizer_context(G, rep)
+        passes = _passes(ctx, modes)
+    except OrderTooLarge:
+        return None
+    return (ctx if passes else None), passes
+
+
 # -- intro property suite ----------------------------------------------------------
 
 
@@ -164,9 +185,16 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
     the Thompson J(P)/Z(P) criterion, the normalizer/centralizer p-group
     criterion, solvability of nilpotent-by-nilpotent factorizations, and the
     Fitting-length bound by the sum of the factors' nilpotency classes.
+
+    |N(Q)/C(Q)| and nilpotency do not change under conjugation, so they are
+    computed once per conjugacy class of subgroups, on its representative,
+    and read per member in lattice order.
     """
     if subs is None:
         subs = enumerate_subgroups(G)
+    classes = subgroup_classes(G)
+    class_of = {key: i for i, cls in enumerate(classes) for key in cls.members}
+    member_classes = [class_of[S.carrier.element_tuples()] for S in subs]
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
     primes = primes_dividing(G.order())
@@ -209,18 +237,24 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
     out.append(VerdictReport("intro-thompson64", dict(subject), [], checks).finalize())
 
     # p-nilpotent iff N(Q)/C(Q) is a p-group for every non-trivial p-subgroup Q
+    ratios: dict[int, int] = {}  # class -> |N(Q)/C(Q)|
+
+    def ratio_of(cls: int) -> int:
+        if cls not in ratios:
+            Q = classes[cls].representative
+            ratios[cls] = normalizer(G, Q).order() // centralizer(G, Q).order()
+        return ratios[cls]
+
     checks = []
     for p in primes:
         lhs = is_p_nilpotent(G, p)
         rhs = True
         witness = ""
-        for Q in subs:
+        for Q, cls in zip(subs, member_classes):
             q_order = Q.order()
             if q_order == 1 or q_order != p_part(q_order, p):
                 continue
-            N = normalizer(G, Q)
-            C = centralizer(G, Q)
-            ratio = N.order() // C.order()
+            ratio = ratio_of(cls)
             if ratio != p_part(ratio, p):
                 rhs = False
                 witness = f"|N/C| = {ratio} for {fingerprint(Q)}"
@@ -235,7 +269,8 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
     out.append(VerdictReport("intro-frobenius", dict(subject), [], checks).finalize())
 
     # nilpotent-by-nilpotent factorizations: solvability and Fitting length
-    nilpotent_flags = [is_nilpotent(S.carrier) for S in subs]
+    class_nilpotent = [is_nilpotent(cls.representative.carrier) for cls in classes]
+    nilpotent_flags = [class_nilpotent[cls] for cls in member_classes]
     elem_sets = [S.carrier.element_tuples() for S in subs]
     n = G.order()
     factorizations: list[tuple[int, int]] = []
@@ -246,7 +281,9 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
         for j in range(i, len(subs)):
             if not nilpotent_flags[j]:
                 continue
-            if a * subs[j].order() == n * len(elem_sets[i] & elem_sets[j]):
+            # |A||B| = |G||A n B| needs |G| to divide |A||B|
+            ab = a * subs[j].order()
+            if ab % n == 0 and ab == n * len(elem_sets[i] & elem_sets[j]):
                 factorizations.append((i, j))
     kw_ok = True
     kw_witness = ""

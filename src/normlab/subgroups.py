@@ -100,8 +100,17 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
-    gens = [conjugate_tuple(h, g.images) for h in H.carrier.generator_tuples]
-    return Subgroup(H.ambient, Group.from_generator_tuples(H.ambient.degree, gens))
+    """H^g in H's ambient group, with H's order and, when H holds its
+    element set, the conjugated set and its sorted list."""
+    images = g.images
+    gens = [conjugate_tuple(h, images) for h in H.carrier.generator_tuples]
+    carrier = Group.from_generator_tuples(H.ambient.degree, gens)
+    carrier._cache["order"] = H.order()
+    elems = H.carrier._cache.get("elements")
+    if elems is not None:
+        conj = carrier._cache["elements"] = frozenset(conjugate_tuple(x, images) for x in elems)
+        carrier._cache["sorted_elements"] = sorted(conj)
+    return Subgroup(H.ambient, carrier)
 
 
 def subgroup_le(A: Subgroup, B: Subgroup) -> bool:
@@ -329,11 +338,14 @@ def _chain_backtrack(
 
 
 class SubgroupClass(NamedTuple):
-    """One conjugacy class of subgroups: its representative and the element
-    sets of all its members, the representative's first."""
+    """One conjugacy class of subgroups: its representative, the element
+    sets of all its members (the representative's first) and, aligned with
+    them, image tuples conjugating the representative onto each member
+    (``conjugators[0]`` is the identity)."""
 
     representative: Subgroup
     members: tuple[frozenset, ...]
+    conjugators: tuple[tuple[int, ...], ...]
 
 
 def enumerate_subgroups(G: Group) -> list[Subgroup]:
@@ -390,10 +402,21 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         records: list[SubgroupClass] = []
 
         def enter_class(key: frozenset) -> None:
-            members = tuple(orbit(key, gen_tuples, conjugate_key))
+            # the conjugation orbit of key, breadth first: a member met as
+            # X^s for a known member X = key^g is key^(g s)
+            members = [key]
+            conjugators = [ident]
+            seen = {key}
+            for x, g in zip(members, conjugators):  # both grow while walked
+                for s in gen_tuples:
+                    y = conjugate_key(x, s)
+                    if y not in seen:
+                        seen.add(y)
+                        members.append(y)
+                        conjugators.append(compose_tuples(g, s))
             found.update(members)
             rep = Subgroup(G, Group.from_element_tuples(degree, key))
-            records.append(SubgroupClass(rep, members))
+            records.append(SubgroupClass(rep, tuple(members), tuple(conjugators)))
 
         enter_class(frozenset([ident]))
         for key in cyclics:

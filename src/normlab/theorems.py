@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cmp_to_key
 from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
@@ -19,6 +20,7 @@ from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
+    QuotientGroup,
     derived_series,
     fitting_subgroup,
     is_abelian,
@@ -33,7 +35,9 @@ from .structure import (
 )
 from .subgroups import (
     Subgroup,
+    _compare_element_streams,
     center,
+    conjugate_subgroup,
     core,
     enumerate_subgroups,
     fingerprint,
@@ -117,12 +121,16 @@ class MaxNormContext:
     G: Group
     H: Subgroup
     core: Subgroup
-    Q: Group
+    quot: QuotientGroup  # G -> G/C; its image is Q
     Hbar: Subgroup
     fitting: Subgroup | None
     candidates_fit: list[Subgroup] = field(default_factory=list)
     candidates_h: list[Subgroup] = field(default_factory=list)
     _results: dict = field(default_factory=dict)
+
+    @property
+    def Q(self) -> Group:
+        return self.quot.image
 
     def result(self, mode: str) -> MaximalNormalizerResult:
         cached = self._results.get(mode)
@@ -146,6 +154,31 @@ class MaxNormContext:
             if res != self._pass(mode):
                 raise InvariantViolated(f"cannot adopt {res} as a {mode} pass")
         self._results.update(results)
+
+    def conjugated(self, H: Subgroup, g: tuple[int, ...]) -> MaxNormContext:
+        """The context of (G, H) for H = self.H^g, carried over by conjugation.
+
+        The core C is normal in G, so H shares it, the quotient Q = G/C and
+        Q's normalizer memo. H/C, Fit(H/C) and every candidate are this
+        context's conjugated by g's image in Q, with their orders (and the
+        element sets this context holds); H/C's Fitting subgroup is seeded,
+        the candidate lists are sorted as a fresh context sorts them, and
+        this context's passes are adopted.
+        """
+        gbar = self.quot.project(Perm(g, _checked=True))
+        Hbar = conjugate_subgroup(self.Hbar, gbar)
+        ctx = MaxNormContext(self.G, H, self.core, self.quot, Hbar, fitting=None)
+        if self.fitting is not None:
+            F = Subgroup(Hbar.carrier, conjugate_subgroup(self.fitting, gbar).carrier)
+            ctx.fitting = Hbar.carrier.cached("fitting", lambda: F)
+            # a subgroup of Fit(H/C) normal in H/C is normal in Fit(H/C), so
+            # candidates_h holds candidates_fit's objects
+            moved = {id(L): conjugate_subgroup(L, gbar) for L in self.candidates_fit}
+            by_elements = cmp_to_key(_compare_element_streams)
+            ctx.candidates_fit = sorted((moved[id(L)] for L in self.candidates_fit), key=by_elements)
+            ctx.candidates_h = sorted((moved[id(L)] for L in self.candidates_h), key=by_elements)
+        ctx.adopt({m: res for m, res in self._results.items() if res.passed})
+        return ctx
 
     def _orders(self) -> dict[str, int]:
         return dict(
@@ -194,7 +227,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
     Q = quot.image
     Hbar = quot.project_subgroup(H)
     if Hbar.order() == 1:
-        return MaxNormContext(G, H, C, Q, Hbar, fitting=None)
+        return MaxNormContext(G, H, C, quot, Hbar, fitting=None)
     F = fitting_subgroup(Hbar.carrier)
     candidates_fit: list[Subgroup] = []
     candidates_h: list[Subgroup] = []
@@ -206,7 +239,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
             candidates_fit.append(in_Q)
         if is_normal(Hbar.carrier, Subgroup(Hbar.carrier, L.carrier)):
             candidates_h.append(in_Q)
-    return MaxNormContext(G, H, C, Q, Hbar, F, candidates_fit, candidates_h)
+    return MaxNormContext(G, H, C, quot, Hbar, F, candidates_fit, candidates_h)
 
 
 def is_maximal_normalizer(

@@ -8,7 +8,10 @@ for groups too large for the brute oracles; ``frobenius_by_normal_kernels``
 walks the library's subgroup lattice, because the answer it checks is defined
 by lattice order, but tests each pair on explicit element sets;
 ``normalizer_sylow`` grows a Sylow subgroup from whole library normalizers,
-the way the library did before its growth read only the first useful element.
+the way the library did before its growth read only the first useful element;
+``intro_checks_per_subgroup`` runs the intro suite's subgroup loops with a
+library normalizer, centralizer and nilpotency test for every subgroup, the
+way the suite did before it read them once per conjugacy class.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import combinations
 
-from normlab.arith import is_prime, is_prime_power, p_part, p_valuation
+from normlab.arith import is_prime, is_prime_power, p_part, p_valuation, primes_dividing
 from normlab.closure import dimino_extend, orbit
 from normlab.group import Group
 from normlab.perm import (
@@ -27,15 +30,19 @@ from normlab.perm import (
     order_of_tuple,
     power_tuple,
 )
+from normlab.structure import fitting_length, is_nilpotent, is_p_nilpotent, is_solvable, nilpotency_class
 from normlab.subgroups import (
     Subgroup,
     _compare_element_streams,
+    centralizer,
     enumerate_subgroups,
+    fingerprint,
     normal_closure,
     normalizer,
     subgroup_le,
     subgroups_equal,
 )
+from normlab.verdict import Check
 
 
 def mul(a: Perm, b: Perm) -> Perm:
@@ -315,3 +322,51 @@ def frobenius_by_normal_kernels(G: Group) -> tuple[Subgroup, Subgroup] | None:
                 continue
             return K, H
     return None
+
+
+def intro_checks_per_subgroup(G: Group, subs: list[Subgroup]) -> dict[str, list[Check]]:
+    """The checks of the intro suite's three subgroup-lattice criteria, by
+    theorem: the N(Q)/C(Q) p-nilpotence criterion, with a normalizer and a
+    centralizer per p-subgroup, and the nilpotent factorizations behind the
+    Kegel-Wielandt and Gross checks, with a nilpotency test and an element-set
+    intersection per pair."""
+    checks = []
+    for p in primes_dividing(G.order()):
+        lhs = is_p_nilpotent(G, p)
+        rhs = True
+        witness = ""
+        for Q in subs:
+            q_order = Q.order()
+            if q_order == 1 or q_order != p_part(q_order, p):
+                continue
+            ratio = normalizer(G, Q).order() // centralizer(G, Q).order()
+            if ratio != p_part(ratio, p):
+                rhs = False
+                witness = f"|N/C| = {ratio} for {fingerprint(Q)}"
+                break
+        checks.append(Check(f"p={p}", lhs == rhs, witness or f"{p}-nilpotent={lhs}, criterion={rhs}"))
+
+    n = G.order()
+    nilpotent = [S for S in subs if is_nilpotent(S.carrier)]
+    factorizations = [
+        (A, B)
+        for i, A in enumerate(nilpotent)
+        for B in nilpotent[i:]
+        if A.order() * B.order()
+        == n * len(A.carrier.element_tuples() & B.carrier.element_tuples())
+    ]
+    count = f"{len(factorizations)} factorization(s)"
+    kw = Check("factorizations-solvable", True, count)
+    gross = Check("fitting-length-bounded", True, count)
+    if factorizations and not is_solvable(G):
+        A, B = factorizations[0]
+        kw = Check("factorizations-solvable", False, f"{fingerprint(A)} * {fingerprint(B)} = G, G non-solvable")
+    elif factorizations:
+        fl = fitting_length(G)
+        for A, B in factorizations:
+            bound = nilpotency_class(A.carrier) + nilpotency_class(B.carrier)
+            if fl > bound:
+                witness = f"Fitting length {fl} > {bound} for {fingerprint(A)} * {fingerprint(B)}"
+                gross = Check("fitting-length-bounded", False, witness)
+                break
+    return {"intro-frobenius": checks, "intro-kegel-wielandt": [kw], "intro-gross": [gross]}

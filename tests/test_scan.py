@@ -5,12 +5,14 @@ import importlib
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import InvalidParameter, InvariantViolated, NotNormal
+from normlab.errors import InvalidParameter, InvariantViolated, NotNormal, OrderTooLarge
 from normlab.limits import get_limits
-from normlab.scan import intro_suite, scan, scan_group
+from normlab.scan import INTRO_BOUND, intro_suite, scan, scan_group
 from normlab.subgroups import enumerate_subgroups, is_normal, subgroup_classes
 from normlab.theorems import MODES, MaxNormContext, maximal_normalizer_context
 from normlab.verdict import VerdictReport
+
+from oracles import intro_checks_per_subgroup
 
 scan_module = importlib.import_module("normlab.scan")  # the package exports a scan function
 
@@ -177,8 +179,9 @@ def test_scan_group_skips_only_bound_errors(monkeypatch):
 
 
 def test_hit_modes_are_constant_on_subgroup_classes():
-    # the scan tests one member per class of subgroups, builds contexts only
-    # for hits and hands them the class's passing results; check all three
+    # the scan tests each class of subgroups once, on its representative,
+    # and carries that context, passing results included, to every member of
+    # a hit class; check the class's modes, results and the scan's counts
     # against a context for every pair
     for spec in default_sweep(2500):
         G, _ = build(spec)
@@ -230,6 +233,87 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     assert sorted(evaluated) == sorted((c, m) for c in tested for m in MODES)
     assert stats == expected_stats and expected_stats["hits"] > len(tested)
     assert _scrub(got) == _scrub(expected)
+
+
+def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
+    # PSL2:7 once built a context for the first member of each class and for
+    # every later member of a hit class: 59 in all
+    spec = parse_spec("PSL2:7")
+    G, _ = build(spec)
+    tested = [
+        cls
+        for cls in subgroup_classes(G)
+        if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
+    ]
+
+    # the reference: every hit member gets a context of its own, built from
+    # scratch, which takes the class's passes
+    def fresh(self, H, g):
+        ctx = maximal_normalizer_context(self.G, H)
+        ctx.adopt({m: r for m, r in self._results.items() if r.passed})
+        return ctx
+
+    with monkeypatch.context() as m:
+        m.setattr(MaxNormContext, "conjugated", fresh)
+        expected, expected_stats = scan_group(spec, intro=False)
+
+    built = []
+
+    def counting(G, H):
+        built.append(H)
+        return maximal_normalizer_context(G, H)
+
+    monkeypatch.setattr(scan_module, "maximal_normalizer_context", counting)
+    got, stats = scan_group(spec, intro=False)
+    assert len(built) == len(tested) < 59
+    assert {H.carrier.element_tuples() for H in built} == {
+        cls.members[0] for cls in tested
+    }
+    assert stats == expected_stats and _scrub(got) == _scrub(expected)
+
+
+def test_a_bound_on_the_class_context_is_reported_per_member(monkeypatch):
+    spec = parse_spec("S:4")
+
+    def too_large(G, H):
+        raise OrderTooLarge("stand-in bound")
+
+    with monkeypatch.context() as m:
+        m.setattr(scan_module, "maximal_normalizer_context", too_large)
+        reports, stats = scan_group(spec, intro=False)
+    skipped = [r for r in reports if r.theorem == "maximal-normalizer"]
+    assert len(skipped) == stats["pairs"] == 26 and stats["hits"] == 0
+    assert len({r.subject["subgroup"] for r in skipped}) == 26
+    assert all(r.status == "skipped-too-large" for r in skipped)
+
+    # a bound met by the representative's class test only: every member then
+    # builds its own context, and the reports are those of an unbounded scan
+    G, _ = build(spec)
+    reps = {cls.members[0] for cls in subgroup_classes(G)}
+    refused = set()
+
+    def refuse_class_test(G, H):
+        key = H.carrier.element_tuples()
+        if key in reps and key not in refused:
+            refused.add(key)
+            raise OrderTooLarge("stand-in bound")
+        return maximal_normalizer_context(G, H)
+
+    expected, expected_stats = scan_group(spec, intro=False)
+    monkeypatch.setattr(scan_module, "maximal_normalizer_context", refuse_class_test)
+    got, stats = scan_group(spec, intro=False)
+    assert refused and stats == expected_stats and _scrub(got) == _scrub(expected)
+
+
+def test_intro_suite_matches_the_per_subgroup_loops():
+    for spec in default_sweep(2500):
+        G, _ = build(spec)
+        if G.order() > INTRO_BOUND:
+            continue
+        subs = enumerate_subgroups(G)
+        got = {r.theorem: r.conclusion_checks for r in intro_suite(G, str(spec), subs)}
+        for theorem, checks in intro_checks_per_subgroup(G, subs).items():
+            assert got[theorem] == checks, (spec, theorem)
 
 
 def test_adopt_takes_only_a_pass_that_matches_the_pair():

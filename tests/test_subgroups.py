@@ -9,7 +9,7 @@ from normlab.arith import primes_dividing
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.group import Group
-from normlab.limits import Limits, using_limits
+from normlab.limits import Limits, get_limits, using_limits
 from normlab.perm import conjugate_tuple, order_of_tuple, perm_from_cycles
 from normlab.subgroups import (
     Subgroup,
@@ -430,6 +430,21 @@ def test_subgroup_classes_partition_the_lattice():
                 for g in G.element_tuples()
             }
             assert conjugates == set(cls.members), name
+
+
+def test_subgroup_class_conjugators_carry_the_representative_to_each_member():
+    for spec in default_sweep(2500):
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        ident = tuple(range(1, G.degree + 1))
+        for cls in subgroup_classes(G):
+            assert len(cls.conjugators) == len(cls.members), spec
+            assert cls.conjugators[0] == ident, spec
+            rep = cls.representative.carrier.element_tuples()
+            for key, g in zip(cls.members, cls.conjugators):
+                assert G.contains_tuple(g), spec
+                assert frozenset(conjugate_tuple(h, g) for h in rep) == key, spec
 
 
 def test_enumeration_respects_bound(psl2_17):
