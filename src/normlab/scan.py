@@ -29,6 +29,7 @@ from .subgroups import (
     Subgroup,
     center,
     centralizer,
+    class_index,
     enumerate_subgroups,
     fingerprint,
     is_normal,
@@ -37,7 +38,6 @@ from .subgroups import (
 )
 from .theorems import (
     MODES,
-    MaxNormContext,
     frobenius_decomposition,
     maximal_normalizer_context,
     verify_burnside_complement,
@@ -94,13 +94,12 @@ def scan_group(
     # their normalizers, so the test runs once per class, on the context of
     # its representative: a miss in every mode is counted without a context,
     # and each member of a hit class gets the class context conjugated onto
-    # it, passes included. A class whose context hits a bound is tested per
-    # member, so each member keeps its own skip report.
+    # it, passes included. A bound depends only on orders and indices, which
+    # conjugation keeps, so a class whose test meets one gives each member a
+    # skip report with the class's message.
     classes = subgroup_classes(G)
-    where = {
-        key: (i, j) for i, cls in enumerate(classes) for j, key in enumerate(cls.members)
-    }
-    tested: dict[int, tuple | None] = {}  # class -> (context, passes), None past a bound
+    where = class_index(G)
+    tested: dict[int, tuple | str] = {}  # class -> (context, passes), or a bound's message
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
     ]
@@ -110,23 +109,16 @@ def scan_group(
         if i not in tested:
             tested[i] = _class_test(G, classes[i].representative, modes)
         entry = tested[i]
-        if entry is not None and not entry[1]:
+        if not isinstance(entry, str) and not entry[1]:
             continue
         subject = dict(base_subject)
         subject["subgroup"] = fingerprint(H)
         subject["subgroup_order"] = H.order()
-        try:
-            if entry is None:
-                ctx = maximal_normalizer_context(G, H)
-                class_passes = _passes(ctx, modes)
-            else:
-                ctx = entry[0].conjugated(H, classes[i].conjugators[j])
-                class_passes = entry[1]
-        except OrderTooLarge as exc:
-            reports.append(skip_report("maximal-normalizer", subject, str(exc)))
+        if isinstance(entry, str):
+            reports.append(skip_report("maximal-normalizer", subject, entry))
             continue
-        if not class_passes:
-            continue
+        class_ctx, class_passes = entry
+        ctx = class_ctx.conjugated(H, classes[i].conjugators[j])
         stats["hits"] += 1
         for mode in class_passes:
             for thm in theorems:
@@ -161,19 +153,15 @@ def scan_group(
     return reports, stats
 
 
-def _passes(ctx: MaxNormContext, modes: tuple[str, ...]) -> dict:
-    """The passing results of a context, by mode."""
-    return {m: ctx.result(m) for m in modes if ctx.result(m).passed}
-
-
-def _class_test(G: Group, rep: Subgroup, modes: tuple[str, ...]) -> tuple | None:
-    """(context, passes) for a class representative; the context only when
-    some mode passes. None when a bound stops the test."""
+def _class_test(G: Group, rep: Subgroup, modes: tuple[str, ...]) -> tuple | str:
+    """(context, passing results by mode) for a class representative, the
+    context only when some mode passes; the message of a bound that stops
+    the test."""
     try:
         ctx = maximal_normalizer_context(G, rep)
-        passes = _passes(ctx, modes)
-    except OrderTooLarge:
-        return None
+        passes = {m: ctx.result(m) for m in modes if ctx.result(m).passed}
+    except OrderTooLarge as exc:
+        return str(exc)
     return (ctx if passes else None), passes
 
 
@@ -193,8 +181,8 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
     if subs is None:
         subs = enumerate_subgroups(G)
     classes = subgroup_classes(G)
-    class_of = {key: i for i, cls in enumerate(classes) for key in cls.members}
-    member_classes = [class_of[S.carrier.element_tuples()] for S in subs]
+    where = class_index(G)
+    member_classes = [where[S.carrier.element_tuples()][0] for S in subs]
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
     primes = primes_dividing(G.order())

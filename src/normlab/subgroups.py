@@ -44,6 +44,7 @@ __all__ = [
     "SubgroupClass",
     "enumerate_subgroups",
     "subgroup_classes",
+    "class_index",
     "minimal_normal_subgroups",
     "is_simple",
     "subgroup_le",
@@ -367,6 +368,19 @@ def subgroup_classes(G: Group) -> list[SubgroupClass]:
     """The conjugacy classes of subgroups behind ``enumerate_subgroups``,
     in the order the lattice met them (the trivial subgroup first)."""
     return _lattice(G)[1]
+
+
+def class_index(G: Group) -> dict[frozenset, tuple[int, int]]:
+    """Each subgroup's element set -> (index of its class in
+    ``subgroup_classes(G)``, its index among that class's members)."""
+    return G.cached(
+        "subgroup_class_index",
+        lambda: {
+            key: (i, j)
+            for i, cls in enumerate(subgroup_classes(G))
+            for j, key in enumerate(cls.members)
+        },
+    )
 
 
 def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:

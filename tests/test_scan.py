@@ -8,7 +8,13 @@ from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import InvalidParameter, InvariantViolated, NotNormal, OrderTooLarge
 from normlab.limits import get_limits
 from normlab.scan import INTRO_BOUND, intro_suite, scan, scan_group
-from normlab.subgroups import enumerate_subgroups, is_normal, subgroup_classes
+from normlab.subgroups import (
+    class_index,
+    enumerate_subgroups,
+    fingerprint,
+    is_normal,
+    subgroup_classes,
+)
 from normlab.theorems import MODES, MaxNormContext, maximal_normalizer_context
 from normlab.verdict import VerdictReport
 
@@ -211,11 +217,9 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     # adopt its results instead of evaluating candidates again
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
-    class_of = {
-        key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members
-    }
+    where = class_index(G)
     tested = {
-        class_of[cls.representative.carrier.element_tuples()]
+        where[cls.representative.carrier.element_tuples()][0]
         for cls in subgroup_classes(G)
         if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
     }
@@ -225,7 +229,7 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     evaluate = MaxNormContext._evaluate
 
     def counting(self, mode):
-        evaluated.append((class_of[self.H.carrier.element_tuples()], mode))
+        evaluated.append((where[self.H.carrier.element_tuples()][0], mode))
         return evaluate(self, mode)
 
     monkeypatch.setattr(MaxNormContext, "_evaluate", counting)
@@ -286,23 +290,35 @@ def test_a_bound_on_the_class_context_is_reported_per_member(monkeypatch):
     assert len({r.subject["subgroup"] for r in skipped}) == 26
     assert all(r.status == "skipped-too-large" for r in skipped)
 
-    # a bound met by the representative's class test only: every member then
-    # builds its own context, and the reports are those of an unbounded scan
+    # a bound met by one hit class's test: each member of that class gets a
+    # skip report carrying the class's message, the other classes' reports
+    # are those of an unbounded scan
     G, _ = build(spec)
-    reps = {cls.members[0] for cls in subgroup_classes(G)}
-    refused = set()
+    by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
+    bounded = next(
+        cls
+        for cls in subgroup_classes(G)
+        if len(cls.members) > 1
+        and cls.representative.order() < G.order()
+        and any(maximal_normalizer_context(G, cls.representative).result(m).passed for m in MODES)
+    )
+    prints = {fingerprint(by_key[key]) for key in bounded.members}
 
-    def refuse_class_test(G, H):
-        key = H.carrier.element_tuples()
-        if key in reps and key not in refused:
-            refused.add(key)
-            raise OrderTooLarge("stand-in bound")
+    def bound_one_class(G, H):
+        if H.carrier.element_tuples() == bounded.members[0]:
+            raise OrderTooLarge("stand-in bound for one class")
         return maximal_normalizer_context(G, H)
 
     expected, expected_stats = scan_group(spec, intro=False)
-    monkeypatch.setattr(scan_module, "maximal_normalizer_context", refuse_class_test)
+    monkeypatch.setattr(scan_module, "maximal_normalizer_context", bound_one_class)
     got, stats = scan_group(spec, intro=False)
-    assert refused and stats == expected_stats and _scrub(got) == _scrub(expected)
+    skipped = [r for r in got if r.theorem == "maximal-normalizer"]
+    assert sorted(r.subject["subgroup"] for r in skipped) == sorted(prints)
+    assert all(r.metadata["reason"] == "stand-in bound for one class" for r in skipped)
+    assert stats == {**expected_stats, "hits": expected_stats["hits"] - len(prints)}
+    assert _scrub([r for r in got if r not in skipped]) == _scrub(
+        [r for r in expected if r.subject.get("subgroup") not in prints]
+    )
 
 
 def test_intro_suite_matches_the_per_subgroup_loops():

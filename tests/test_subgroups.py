@@ -15,6 +15,7 @@ from normlab.subgroups import (
     Subgroup,
     center,
     centralizer,
+    class_index,
     core,
     enumerate_subgroups,
     fingerprint,
@@ -418,6 +419,9 @@ def test_subgroup_classes_partition_the_lattice():
         assert len(members) == len(set(members)), name
         assert set(members) == {S.carrier.element_tuples() for S in enumerate_subgroups(G)}
         assert classes[0].representative.order() == 1
+        assert class_index(G) == {
+            key: (i, j) for i, cls in enumerate(classes) for j, key in enumerate(cls.members)
+        }
         for cls in classes:
             rep = cls.representative
             assert cls.members[0] == rep.carrier.element_tuples()
