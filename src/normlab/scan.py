@@ -9,6 +9,8 @@ the merged output is sorted, so reports do not depend on the worker count.
 from __future__ import annotations
 
 import multiprocessing
+from copy import deepcopy
+from dataclasses import replace
 
 from .arith import is_prime, p_part, primes_dividing
 from .catalog import GroupSpec, build, parse_spec
@@ -38,6 +40,7 @@ from .subgroups import (
 )
 from .theorems import (
     MODES,
+    MaxNormContext,
     frobenius_decomposition,
     maximal_normalizer_context,
     verify_burnside_complement,
@@ -47,7 +50,14 @@ from .theorems import (
     verify_simp,
     verify_thompson,
 )
-from .verdict import ALL_STATUSES, STATUS_SKIPPED, Check, VerdictReport, status_counts
+from .verdict import (
+    ALL_STATUSES,
+    STATUS_COUNTEREXAMPLE,
+    STATUS_SKIPPED,
+    Check,
+    VerdictReport,
+    status_counts,
+)
 
 __all__ = ["scan", "scan_group", "intro_suite", "skip_report", "THEOREM_NAMES"]
 
@@ -90,44 +100,42 @@ def scan_group(
         stats["skipped_groups"] = 1
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
-    # conjugating H in G conjugates its core, quotient, H/C, candidates and
-    # their normalizers, so the test runs once per class, on the context of
-    # its representative: a miss in every mode is counted without a context,
-    # and each member of a hit class gets the class context conjugated onto
-    # it, passes included. A bound depends only on orders and indices, which
-    # conjugation keeps, so a class whose test meets one gives each member a
-    # skip report with the class's message.
+    # conjugating H in G carries its core, quotient, H/C, candidates and
+    # their normalizers to those of H^g, and no verdict reads more than
+    # orders, G and what the class shares. So the test and the verifiers run
+    # once per class, on its representative, and each member of a hit class
+    # gets copies of its reports. A report naming an element or subgroup of
+    # the representative (a counterexample, a rem23 strict-normalizer
+    # witness) is made again on each other member's own pair. A bound depends
+    # only on orders and indices: a class whose test meets one gives each
+    # member a skip report with the class's message.
     classes = subgroup_classes(G)
     where = class_index(G)
-    tested: dict[int, tuple | str] = {}  # class -> (context, passes), or a bound's message
+    tested: dict[int, list | str | None] = {}
     candidates = [
         H for H in subs if H.order() < G.order() and not is_normal(G, H)
     ]
     for H in candidates:
         stats["pairs"] += 1
-        i, j = where[H.carrier.element_tuples()]
+        i = where[H.carrier.element_tuples()]
+        rep = classes[i].representative
         if i not in tested:
-            tested[i] = _class_test(G, classes[i].representative, modes)
+            tested[i] = _class_reports(G, rep, theorems, modes)
         entry = tested[i]
-        if not isinstance(entry, str) and not entry[1]:
+        if entry is None:
             continue
-        subject = dict(base_subject)
-        subject["subgroup"] = fingerprint(H)
-        subject["subgroup_order"] = H.order()
+        subject = {**base_subject, "subgroup": fingerprint(H), "subgroup_order": H.order()}
         if isinstance(entry, str):
             reports.append(skip_report("maximal-normalizer", subject, entry))
             continue
-        class_ctx, class_passes = entry
-        ctx = class_ctx.conjugated(H, classes[i].conjugators[j])
         stats["hits"] += 1
-        for mode in class_passes:
-            for thm in theorems:
-                try:
-                    rep = VERIFIERS[thm](G, H, mode, ctx)
-                except OrderTooLarge as exc:
-                    rep = skip_report(thm, dict(subject), str(exc), mode)
-                rep.subject.update(subject)
-                reports.append(rep)
+        for thm, mode, report in entry:
+            if H is not rep and (
+                report.status == STATUS_COUNTEREXAMPLE
+                or report.metadata.get("strict_normalizer_witness")
+            ):
+                report = _verify(thm, G, H, mode)
+            reports.append(_copy_report(report, subject))
 
     # Frobenius decompositions feed the complement-structure checks
     try:
@@ -153,16 +161,42 @@ def scan_group(
     return reports, stats
 
 
-def _class_test(G: Group, rep: Subgroup, modes: tuple[str, ...]) -> tuple | str:
-    """(context, passing results by mode) for a class representative, the
-    context only when some mode passes; the message of a bound that stops
-    the test."""
+def _class_reports(
+    G: Group, rep: Subgroup, theorems: tuple[str, ...], modes: tuple[str, ...]
+) -> list | str | None:
+    """(theorem, mode, report) for each requested verifier run on a class
+    representative in each mode it passes the maximal-normalizer test in;
+    None when it passes in none; the message of a bound that stops the test."""
     try:
         ctx = maximal_normalizer_context(G, rep)
-        passes = {m: ctx.result(m) for m in modes if ctx.result(m).passed}
+        passed = [m for m in modes if ctx.result(m).passed]
     except OrderTooLarge as exc:
         return str(exc)
-    return (ctx if passes else None), passes
+    if not passed:
+        return None
+    return [(thm, m, _verify(thm, G, rep, m, ctx)) for m in passed for thm in theorems]
+
+
+def _verify(
+    thm: str, G: Group, H: Subgroup, mode: str, ctx: MaxNormContext | None = None
+) -> VerdictReport:
+    """One verifier's report on (G, H), or a skip report when it meets a bound."""
+    try:
+        return VERIFIERS[thm](G, H, mode, ctx)
+    except OrderTooLarge as exc:
+        return skip_report(thm, {}, str(exc), mode)
+
+
+def _copy_report(report: VerdictReport, subject: dict) -> VerdictReport:
+    """A class representative's report for another member: its own subject,
+    and no check list, check or metadata shared with the original."""
+    return replace(
+        report,
+        subject={**report.subject, **subject},
+        hypothesis_checks=[replace(c) for c in report.hypothesis_checks],
+        conclusion_checks=[replace(c) for c in report.conclusion_checks],
+        metadata=deepcopy(report.metadata),
+    )
 
 
 # -- intro property suite ----------------------------------------------------------
@@ -182,7 +216,7 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
         subs = enumerate_subgroups(G)
     classes = subgroup_classes(G)
     where = class_index(G)
-    member_classes = [where[S.carrier.element_tuples()][0] for S in subs]
+    member_classes = [where[S.carrier.element_tuples()] for S in subs]
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
     primes = primes_dividing(G.order())

@@ -101,17 +101,8 @@ def trivial_subgroup(G: Group) -> Subgroup:
 
 
 def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
-    """H^g in H's ambient group, with H's order and, when H holds its
-    element set, the conjugated set and its sorted list."""
-    images = g.images
-    gens = [conjugate_tuple(h, images) for h in H.carrier.generator_tuples]
-    carrier = Group.from_generator_tuples(H.ambient.degree, gens)
-    carrier._cache["order"] = H.order()
-    elems = H.carrier._cache.get("elements")
-    if elems is not None:
-        conj = carrier._cache["elements"] = frozenset(conjugate_tuple(x, images) for x in elems)
-        carrier._cache["sorted_elements"] = sorted(conj)
-    return Subgroup(H.ambient, carrier)
+    gens = [conjugate_tuple(h, g.images) for h in H.carrier.generator_tuples]
+    return Subgroup(H.ambient, Group.from_generator_tuples(H.ambient.degree, gens))
 
 
 def subgroup_le(A: Subgroup, B: Subgroup) -> bool:
@@ -339,14 +330,11 @@ def _chain_backtrack(
 
 
 class SubgroupClass(NamedTuple):
-    """One conjugacy class of subgroups: its representative, the element
-    sets of all its members (the representative's first) and, aligned with
-    them, image tuples conjugating the representative onto each member
-    (``conjugators[0]`` is the identity)."""
+    """One conjugacy class of subgroups: its representative and the element
+    sets of all its members, the representative's first."""
 
     representative: Subgroup
     members: tuple[frozenset, ...]
-    conjugators: tuple[tuple[int, ...], ...]
 
 
 def enumerate_subgroups(G: Group) -> list[Subgroup]:
@@ -370,16 +358,12 @@ def subgroup_classes(G: Group) -> list[SubgroupClass]:
     return _lattice(G)[1]
 
 
-def class_index(G: Group) -> dict[frozenset, tuple[int, int]]:
-    """Each subgroup's element set -> (index of its class in
-    ``subgroup_classes(G)``, its index among that class's members)."""
+def class_index(G: Group) -> dict[frozenset, int]:
+    """Each subgroup's element set -> the index of its class in
+    ``subgroup_classes(G)``."""
     return G.cached(
         "subgroup_class_index",
-        lambda: {
-            key: (i, j)
-            for i, cls in enumerate(subgroup_classes(G))
-            for j, key in enumerate(cls.members)
-        },
+        lambda: {key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members},
     )
 
 
@@ -416,21 +400,10 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         records: list[SubgroupClass] = []
 
         def enter_class(key: frozenset) -> None:
-            # the conjugation orbit of key, breadth first: a member met as
-            # X^s for a known member X = key^g is key^(g s)
-            members = [key]
-            conjugators = [ident]
-            seen = {key}
-            for x, g in zip(members, conjugators):  # both grow while walked
-                for s in gen_tuples:
-                    y = conjugate_key(x, s)
-                    if y not in seen:
-                        seen.add(y)
-                        members.append(y)
-                        conjugators.append(compose_tuples(g, s))
+            members = tuple(orbit(key, gen_tuples, conjugate_key))
             found.update(members)
             rep = Subgroup(G, Group.from_element_tuples(degree, key))
-            records.append(SubgroupClass(rep, tuple(members), tuple(conjugators)))
+            records.append(SubgroupClass(rep, members))
 
         enter_class(frozenset([ident]))
         for key in cyclics:

@@ -10,17 +10,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cmp_to_key
 from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
-from .errors import DoesNotNormalize, InvariantViolated, OrderTooLarge
+from .errors import DoesNotNormalize, OrderTooLarge
 from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
 from .structure import (
-    QuotientGroup,
     derived_series,
     fitting_subgroup,
     is_abelian,
@@ -35,9 +33,7 @@ from .structure import (
 )
 from .subgroups import (
     Subgroup,
-    _compare_element_streams,
     center,
-    conjugate_subgroup,
     core,
     enumerate_subgroups,
     fingerprint,
@@ -121,16 +117,12 @@ class MaxNormContext:
     G: Group
     H: Subgroup
     core: Subgroup
-    quot: QuotientGroup  # G -> G/C; its image is Q
+    Q: Group
     Hbar: Subgroup
     fitting: Subgroup | None
     candidates_fit: list[Subgroup] = field(default_factory=list)
     candidates_h: list[Subgroup] = field(default_factory=list)
     _results: dict = field(default_factory=dict)
-
-    @property
-    def Q(self) -> Group:
-        return self.quot.image
 
     def result(self, mode: str) -> MaximalNormalizerResult:
         cached = self._results.get(mode)
@@ -139,77 +131,21 @@ class MaxNormContext:
             self._results[mode] = cached
         return cached
 
-    def adopt(self, results: dict[str, MaximalNormalizerResult]) -> None:
-        """Take passing results, by mode, from a conjugate pair (G, H^g).
-
-        Conjugation by g carries C, Q, H/C, Fit(H/C), every candidate L and
-        every N_Q(L) to their counterparts for H^g, so a pass for one member
-        of a class is a pass for all of them, with the same core, quotient,
-        H/C and Fitting orders and the same candidate count. A passing result
-        holds nothing else, so an adopted one equals the one `result` would
-        compute. A failing result names a witness of its own pair, so only
-        passes may be adopted.
-        """
-        for mode, res in results.items():
-            if res != self._pass(mode):
-                raise InvariantViolated(f"cannot adopt {res} as a {mode} pass")
-        self._results.update(results)
-
-    def conjugated(self, H: Subgroup, g: tuple[int, ...]) -> MaxNormContext:
-        """The context of (G, H) for H = self.H^g, carried over by conjugation.
-
-        The core C is normal in G, so H shares it, the quotient Q = G/C and
-        Q's normalizer memo. H/C, Fit(H/C) and every candidate are this
-        context's conjugated by g's image in Q, with their orders (and the
-        element sets this context holds); H/C's Fitting subgroup is seeded,
-        the candidate lists are sorted as a fresh context sorts them, and
-        this context's passes are adopted.
-        """
-        gbar = self.quot.project(Perm(g, _checked=True))
-        Hbar = conjugate_subgroup(self.Hbar, gbar)
-        ctx = MaxNormContext(self.G, H, self.core, self.quot, Hbar, fitting=None)
-        if self.fitting is not None:
-            F = Subgroup(Hbar.carrier, conjugate_subgroup(self.fitting, gbar).carrier)
-            ctx.fitting = Hbar.carrier.cached("fitting", lambda: F)
-            # a subgroup of Fit(H/C) normal in H/C is normal in Fit(H/C), so
-            # candidates_h holds candidates_fit's objects
-            moved = {id(L): conjugate_subgroup(L, gbar) for L in self.candidates_fit}
-            by_elements = cmp_to_key(_compare_element_streams)
-            ctx.candidates_fit = sorted((moved[id(L)] for L in self.candidates_fit), key=by_elements)
-            ctx.candidates_h = sorted((moved[id(L)] for L in self.candidates_h), key=by_elements)
-        ctx.adopt({m: res for m, res in self._results.items() if res.passed})
-        return ctx
-
-    def _orders(self) -> dict[str, int]:
-        return dict(
+    def _evaluate(self, mode: str) -> MaximalNormalizerResult:
+        not_proper = self.H.order() >= self.G.order()
+        base = dict(
+            mode=mode,
             core_order=self.core.order(),
             quotient_order=self.Q.order(),
             hbar_order=self.Hbar.order(),
             fitting_order=self.fitting.order() if self.fitting else 0,
         )
-
-    def _candidates(self, mode: str) -> list[Subgroup]:
-        return self.candidates_fit if mode == MODE_FIT_NORMAL else self.candidates_h
-
-    def _pass(self, mode: str) -> MaximalNormalizerResult:
-        """The result of `mode` if every candidate's normalizer is H/C."""
-        candidates = self._candidates(mode)
-        return MaximalNormalizerResult(
-            passed=True,
-            mode=mode,
-            candidates_checked=len(candidates),
-            vacuous=not candidates,
-            **self._orders(),
-        )
-
-    def _evaluate(self, mode: str) -> MaximalNormalizerResult:
-        not_proper = self.H.order() >= self.G.order()
-        base = dict(mode=mode, **self._orders())
         if not_proper:
             return MaximalNormalizerResult(
                 passed=False, candidates_checked=0, not_proper=True, **base
             )
-        for i, L in enumerate(self._candidates(mode)):
+        candidates = self.candidates_fit if mode == MODE_FIT_NORMAL else self.candidates_h
+        for i, L in enumerate(candidates):
             NL = normalizer(self.Q, L)
             if not subgroups_equal(NL, self.Hbar):
                 return MaximalNormalizerResult(
@@ -218,7 +154,12 @@ class MaxNormContext:
                     failure=(fingerprint(L), fingerprint(NL)),
                     **base,
                 )
-        return self._pass(mode)
+        return MaximalNormalizerResult(
+            passed=True,
+            candidates_checked=len(candidates),
+            vacuous=not candidates,
+            **base,
+        )
 
 
 def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
@@ -227,7 +168,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
     Q = quot.image
     Hbar = quot.project_subgroup(H)
     if Hbar.order() == 1:
-        return MaxNormContext(G, H, C, quot, Hbar, fitting=None)
+        return MaxNormContext(G, H, C, Q, Hbar, fitting=None)
     F = fitting_subgroup(Hbar.carrier)
     candidates_fit: list[Subgroup] = []
     candidates_h: list[Subgroup] = []
@@ -239,7 +180,7 @@ def maximal_normalizer_context(G: Group, H: Subgroup) -> MaxNormContext:
             candidates_fit.append(in_Q)
         if is_normal(Hbar.carrier, Subgroup(Hbar.carrier, L.carrier)):
             candidates_h.append(in_Q)
-    return MaxNormContext(G, H, C, quot, Hbar, F, candidates_fit, candidates_h)
+    return MaxNormContext(G, H, C, Q, Hbar, F, candidates_fit, candidates_h)
 
 
 def is_maximal_normalizer(

@@ -11,7 +11,10 @@ by lattice order, but tests each pair on explicit element sets;
 the way the library did before its growth read only the first useful element;
 ``intro_checks_per_subgroup`` runs the intro suite's subgroup loops with a
 library normalizer, centralizer and nilpotency test for every subgroup, the
-way the suite did before it read them once per conjugacy class.
+way the suite did before it read them once per conjugacy class;
+``per_pair_scan_reports`` runs the library's maximal-normalizer test and
+verifiers on every pair, the way the scan did before it ran them once per
+conjugacy class.
 """
 
 from __future__ import annotations
@@ -37,12 +40,15 @@ from normlab.subgroups import (
     centralizer,
     enumerate_subgroups,
     fingerprint,
+    is_normal,
     normal_closure,
     normalizer,
     subgroup_le,
     subgroups_equal,
 )
-from normlab.verdict import Check
+from normlab.scan import VERIFIERS
+from normlab.theorems import MODES, maximal_normalizer_context
+from normlab.verdict import Check, VerdictReport
 
 
 def mul(a: Perm, b: Perm) -> Perm:
@@ -370,3 +376,24 @@ def intro_checks_per_subgroup(G: Group, subs: list[Subgroup]) -> dict[str, list[
                 gross = Check("fitting-length-bounded", False, witness)
                 break
     return {"intro-frobenius": checks, "intro-kegel-wielandt": [kw], "intro-gross": [gross]}
+
+
+def per_pair_scan_reports(G: Group, gname: str, subs: list[Subgroup]) -> list[VerdictReport]:
+    """The scan's verifier reports for the given subgroups, pair by pair: each
+    proper non-normal H gets a context of its own, built from scratch, and
+    every verifier runs on (G, H) with it in every mode that H passes, with
+    the scan's subject."""
+    out = []
+    for H in subs:
+        if H.order() == G.order() or is_normal(G, H):
+            continue
+        ctx = maximal_normalizer_context(G, H)
+        subject = {"group": gname, "group_order": G.order()}
+        subject.update(subgroup=fingerprint(H), subgroup_order=H.order())
+        for mode in MODES:
+            if ctx.result(mode).passed:
+                for verify in VERIFIERS.values():
+                    report = verify(G, H, mode, ctx)
+                    report.subject.update(subject)
+                    out.append(report)
+    return out

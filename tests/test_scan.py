@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import importlib
+from copy import deepcopy
+from pathlib import Path
 
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import InvalidParameter, InvariantViolated, NotNormal, OrderTooLarge
+from normlab.errors import InvalidParameter, NotNormal, OrderTooLarge
 from normlab.limits import get_limits
-from normlab.scan import INTRO_BOUND, intro_suite, scan, scan_group
+from normlab.scan import INTRO_BOUND, VERIFIERS, intro_suite, scan, scan_group
 from normlab.subgroups import (
     class_index,
     enumerate_subgroups,
@@ -16,9 +18,9 @@ from normlab.subgroups import (
     subgroup_classes,
 )
 from normlab.theorems import MODES, MaxNormContext, maximal_normalizer_context
-from normlab.verdict import VerdictReport
+from normlab.verdict import STATUS_COUNTEREXAMPLE, Check, VerdictReport
 
-from oracles import intro_checks_per_subgroup
+from oracles import intro_checks_per_subgroup, per_pair_scan_reports
 
 scan_module = importlib.import_module("normlab.scan")  # the package exports a scan function
 
@@ -214,12 +216,12 @@ def test_hit_modes_are_constant_on_subgroup_classes():
 
 def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     # PSL2:7 has 50 hit pairs in fewer classes: later members of a hit class
-    # adopt its results instead of evaluating candidates again
+    # share its results instead of evaluating candidates again
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
     where = class_index(G)
     tested = {
-        where[cls.representative.carrier.element_tuples()][0]
+        where[cls.representative.carrier.element_tuples()]
         for cls in subgroup_classes(G)
         if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
     }
@@ -229,7 +231,7 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     evaluate = MaxNormContext._evaluate
 
     def counting(self, mode):
-        evaluated.append((where[self.H.carrier.element_tuples()][0], mode))
+        evaluated.append((where[self.H.carrier.element_tuples()], mode))
         return evaluate(self, mode)
 
     monkeypatch.setattr(MaxNormContext, "_evaluate", counting)
@@ -241,7 +243,9 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
 
 def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
     # PSL2:7 once built a context for the first member of each class and for
-    # every later member of a hit class: 59 in all
+    # every later member of a hit class: 59 in all. The test runs once per
+    # class, and each verifier once per hit class and mode, on the
+    # representative's context
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
     tested = [
@@ -249,17 +253,13 @@ def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
         for cls in subgroup_classes(G)
         if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
     ]
-
-    # the reference: every hit member gets a context of its own, built from
-    # scratch, which takes the class's passes
-    def fresh(self, H, g):
-        ctx = maximal_normalizer_context(self.G, H)
-        ctx.adopt({m: r for m, r in self._results.items() if r.passed})
-        return ctx
-
-    with monkeypatch.context() as m:
-        m.setattr(MaxNormContext, "conjugated", fresh)
-        expected, expected_stats = scan_group(spec, intro=False)
+    hit_runs = {
+        (cls.members[0], m)
+        for cls in tested
+        for m in MODES
+        if maximal_normalizer_context(G, cls.representative).result(m).passed
+    }
+    expected = per_pair_scan_reports(G, str(spec), enumerate_subgroups(G))
 
     built = []
 
@@ -267,13 +267,29 @@ def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
         built.append(H)
         return maximal_normalizer_context(G, H)
 
+    runs = {thm: [] for thm in VERIFIERS}
+
+    def counting_verifier(thm, verify):
+        def run(G, H, mode, context=None):
+            runs[thm].append((H.carrier.element_tuples(), mode))
+            return verify(G, H, mode, context)
+
+        return run
+
     monkeypatch.setattr(scan_module, "maximal_normalizer_context", counting)
+    for thm, verify in VERIFIERS.items():
+        monkeypatch.setitem(scan_module.VERIFIERS, thm, counting_verifier(thm, verify))
     got, stats = scan_group(spec, intro=False)
     assert len(built) == len(tested) < 59
     assert {H.carrier.element_tuples() for H in built} == {
         cls.members[0] for cls in tested
     }
-    assert stats == expected_stats and _scrub(got) == _scrub(expected)
+    for thm in VERIFIERS:
+        assert len(runs[thm]) == len(hit_runs) and set(runs[thm]) == hit_runs, thm
+    assert stats["hits"] == 50 > len({key for key, _ in hit_runs})
+    assert _scrub([r for r in got if r.theorem in VERIFIERS]) == _scrub(
+        sorted(expected, key=VerdictReport.sort_key)
+    )
 
 
 def test_a_bound_on_the_class_context_is_reported_per_member(monkeypatch):
@@ -332,22 +348,141 @@ def test_intro_suite_matches_the_per_subgroup_loops():
             assert got[theorem] == checks, (spec, theorem)
 
 
-def test_adopt_takes_only_a_pass_that_matches_the_pair():
-    G, _ = build(parse_spec("S:4"))
-    by_order = {}
-    for S in enumerate_subgroups(G):
-        if S.order() < G.order() and not is_normal(G, S):
-            by_order.setdefault(S.order(), []).append(S)
-    # the conjugate S:3s of S:4 hit in both modes; so do the D:4s, with
-    # other orders; the non-normal Klein four-groups miss
-    six, other_six = (maximal_normalizer_context(G, S) for S in by_order[6][:2])
-    passes = {m: six.result(m) for m in MODES}
-    other_six.adopt(passes)
-    assert all(other_six.result(m) is passes[m] for m in MODES)
-    with pytest.raises(InvariantViolated):
-        maximal_normalizer_context(G, by_order[8][0]).adopt(passes)
-    four = maximal_normalizer_context(G, by_order[4][0])
-    failed = {m: four.result(m) for m in MODES}
-    assert not any(r.passed for r in failed.values())
-    with pytest.raises(InvariantViolated):
-        maximal_normalizer_context(G, by_order[4][1]).adopt(failed)
+def test_scan_reports_match_per_pair_runs():
+    # every hit member of every sweep group within the lattice bound gets
+    # the reports that the verifiers give on its own pair, apart from
+    # elapsed_s; in S:5, A:5 and PSL2:q the classes are large
+    members = 0
+    for spec in default_sweep(2500):
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        reports, _ = scan_group(spec, intro=False)
+        expected = per_pair_scan_reports(G, str(spec), enumerate_subgroups(G))
+        assert _scrub([r for r in reports if r.theorem in VERIFIERS]) == _scrub(
+            sorted(expected, key=VerdictReport.sort_key)
+        ), spec
+        members += len({r.subject["subgroup"] for r in expected})
+    assert members > 400
+
+
+def test_scan_reports_match_per_pair_runs_on_a_non_abelian_fitting():
+    # 7^{1+2}:3 hits in 10 of its classes, with non-trivial cores of orders
+    # 7 and 49 among them; two members of each against their own pairs
+    spec = parse_spec(f"FILE:{Path(__file__).parent / 'data' / 'frobenius_7_1_2_3.grp'}")
+    G, _ = build(spec)
+    reports, _ = scan_group(spec, intro=False)
+    by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
+    sample, cores = [], set()
+    for cls in subgroup_classes(G):
+        rep = cls.representative
+        if rep.order() == G.order() or is_normal(G, rep):
+            continue
+        ctx = maximal_normalizer_context(G, rep)
+        if any(ctx.result(m).passed for m in MODES):
+            cores.add(ctx.core.order())
+            sample.extend(by_key[key] for key in cls.members[:2])
+    assert len(sample) == 20 and cores == {1, 7, 49}
+    prints = {fingerprint(H) for H in sample}
+    got = [r for r in reports if r.theorem in VERIFIERS and r.subject["subgroup"] in prints]
+    expected = per_pair_scan_reports(G, str(spec), sample)
+    assert len(got) == len(expected) > 0
+    assert _scrub(got) == _scrub(sorted(expected, key=VerdictReport.sort_key))
+
+
+def test_a_witness_of_the_representative_is_found_again_per_member(monkeypatch):
+    # a report that names a subgroup of the representative is not copied:
+    # a counterexample's witness (comp22) or a strict-normalizer subgroup
+    # (rem23) in the fit-normal mode sends that verifier, in that mode only,
+    # to each other member's own pair, with no context from the class
+    spec = parse_spec("PSL2:7")
+    G, _ = build(spec)
+    where = class_index(G)
+    classes = subgroup_classes(G)
+    for theorem in ("comp22", "rem23"):
+        runs = []
+
+        def wrapped(thm, verify):
+            def run(G, H, mode, context=None):
+                runs.append((thm, H.carrier.element_tuples(), mode, context is None))
+                report = verify(G, H, mode, context)
+                if thm == theorem == "comp22" and mode == MODES[0]:
+                    report.conclusion_checks.append(Check("stand-in", False, fingerprint(H)))
+                    report.status = STATUS_COUNTEREXAMPLE
+                elif thm == theorem and mode == MODES[0]:
+                    report.metadata["strict_normalizer_witness"] = {"subgroup": fingerprint(H)}
+                return report
+
+            return run
+
+        with monkeypatch.context() as m:
+            for thm, verify in VERIFIERS.items():
+                m.setitem(scan_module.VERIFIERS, thm, wrapped(thm, verify))
+            reports, _ = scan_group(spec, intro=False)
+        named = [r for r in reports if r.theorem == theorem and r.mode == MODES[0]]
+        for r in named:
+            if theorem == "comp22":
+                assert r.conclusion_checks[-1].witness == r.subject["subgroup"]
+            else:
+                assert r.metadata["strict_normalizer_witness"]["subgroup"] == r.subject["subgroup"]
+        # every (theorem, hit class, mode) runs once on the representative
+        # with the class context; each other member of a class hit in the
+        # fit-normal mode runs the named theorem once more, in that mode, on
+        # its own pair
+        with_context = [(thm, key, mode) for thm, key, mode, no_context in runs if not no_context]
+        assert len(with_context) == len(set(with_context)), theorem
+        assert all(classes[where[key]].members[0] == key for _, key, _ in with_context), theorem
+        named_classes = [
+            classes[where[key]] for thm, key, mode in with_context if (thm, mode) == (theorem, MODES[0])
+        ]
+        fresh = [(thm, key, mode) for thm, key, mode, no_context in runs if no_context]
+        assert len(fresh) == len(set(fresh)) and set(fresh) == {
+            (theorem, key, MODES[0]) for cls in named_classes for key in cls.members[1:]
+        }, theorem
+        assert len(named) == sum(len(cls.members) for cls in named_classes) > len(named_classes)
+
+
+def test_copies_of_a_class_report_share_no_mutable_part(monkeypatch):
+    # the members of a hit class get copies of the representative's reports;
+    # changing one member's report, down to a list inside its metadata (here
+    # a stand-in entry), leaves its classmates' reports alone
+    spec = parse_spec("PSL2:7")
+    G, _ = build(spec)
+    where = class_index(G)
+    class_of = {fingerprint(S): where[S.carrier.element_tuples()] for S in enumerate_subgroups(G)}
+    verify = VERIFIERS["hall"]
+
+    def with_nested_metadata(*args):
+        report = verify(*args)
+        report.metadata["stand-in"] = {"values": [1]}
+        return report
+
+    monkeypatch.setitem(scan_module.VERIFIERS, "hall", with_nested_metadata)
+    reports, _ = scan_group(spec, intro=False)
+    classmates: dict[tuple, list[VerdictReport]] = {}
+    for r in reports:
+        if r.theorem in VERIFIERS:
+            classmates.setdefault((class_of[r.subject["subgroup"]], r.theorem, r.mode), []).append(r)
+    shared = [rs for rs in classmates.values() if len(rs) > 1]
+    assert shared and any("stand-in" in rs[0].metadata for rs in shared)
+    for first, *others in shared:
+        before = deepcopy([r.to_dict() for r in others])
+        first.subject["subgroup"] = "changed"
+        for checks in (first.hypothesis_checks, first.conclusion_checks):
+            for c in checks:
+                c.witness += " changed"
+            checks.append(Check("changed", False))
+        if "stand-in" in first.metadata:
+            first.metadata["stand-in"]["values"].append("changed")
+        first.metadata["changed"] = True
+        assert [r.to_dict() for r in others] == before
+
+
+def test_a_hit_class_without_verifiers_still_counts_its_hits():
+    # with no verifier requested a hit class has no reports, and its members
+    # still count as hits
+    for name in ("S:4", "PSL2:7"):
+        reports, stats = scan_group(parse_spec(name), theorems=(), intro=False)
+        _, expected = scan_group(parse_spec(name), intro=False)
+        assert stats == expected and stats["hits"] > 0, name
+        assert not any(r.mode for r in reports), name
