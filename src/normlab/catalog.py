@@ -271,10 +271,10 @@ def parse_group_file(text: str) -> tuple[Group, Subgroup | None]:
     G = Group(degree, tuple(gens))
     if not sgens:
         return G, None
-    for p in sgens:
-        if not G.contains(p):
-            raise SubgroupNotContained(f"sgen {p} is not in the group")
-    return G, subgroup(G, sgens, check=False)
+    try:
+        return G, subgroup(G, sgens)
+    except NotASubgroup as exc:
+        raise SubgroupNotContained(f"sgen {exc}") from None
 
 
 # -- the default sweep -------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .arith import is_prime, p_part, primes_dividing
 from .catalog import GroupSpec, build, parse_spec
-from .errors import InvalidParameter, OrderTooLarge
+from .errors import InvalidParameter, OrderTooLarge, UnknownTheorem
 from .group import Group
 from .limits import get_limits, set_limits
 from .perm import compose_tuples
@@ -31,10 +31,8 @@ from .subgroups import (
     Subgroup,
     center,
     centralizer,
-    class_index,
     enumerate_subgroups,
     fingerprint,
-    is_normal,
     normalizer,
     subgroup_classes,
 )
@@ -89,19 +87,22 @@ def scan_group(
     intro: bool = True,
 ) -> tuple[list[VerdictReport], dict]:
     """Scan one catalog group; returns its reports plus counters."""
+    _check_request(theorems, modes)
     G, _ = build(spec)
     gname = str(spec)
     stats = {"groups": 1, "pairs": 0, "hits": 0, "skipped_groups": 0}
     reports: list[VerdictReport] = []
     base_subject = {"group": gname, "group_order": G.order()}
     try:
-        subs = enumerate_subgroups(G)
+        classes = subgroup_classes(G)
     except OrderTooLarge as exc:
         stats["skipped_groups"] = 1
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
-    # conjugating H in G carries its core, quotient, H/C, candidates and
-    # their normalizers to those of H^g, and no verdict reads more than
+    # a pair is a non-normal proper subgroup H, a member of a class with more
+    # than one member (a normal subgroup, G among them, is a class on its
+    # own). Conjugating H in G carries its core, quotient, H/C, candidates
+    # and their normalizers to those of H^g, and no verdict reads more than
     # orders, G and what the class shares. So the test and the verifiers run
     # once per class, on its representative, and each member of a hit class
     # gets copies of its reports. A report naming an element or subgroup of
@@ -109,33 +110,27 @@ def scan_group(
     # witness) is made again on each other member's own pair. A bound depends
     # only on orders and indices: a class whose test meets one gives each
     # member a skip report with the class's message.
-    classes = subgroup_classes(G)
-    where = class_index(G)
-    tested: dict[int, list | str | None] = {}
-    candidates = [
-        H for H in subs if H.order() < G.order() and not is_normal(G, H)
-    ]
-    for H in candidates:
-        stats["pairs"] += 1
-        i = where[H.carrier.element_tuples()]
-        rep = classes[i].representative
-        if i not in tested:
-            tested[i] = _class_reports(G, rep, theorems, modes)
-        entry = tested[i]
+    for rep, members in classes:
+        if len(members) == 1:
+            continue
+        stats["pairs"] += len(members)
+        entry = _class_reports(G, rep, theorems, modes)
         if entry is None:
             continue
-        subject = {**base_subject, "subgroup": fingerprint(H), "subgroup_order": H.order()}
-        if isinstance(entry, str):
-            reports.append(skip_report("maximal-normalizer", subject, entry))
-            continue
-        stats["hits"] += 1
-        for thm, mode, report in entry:
-            if H is not rep and (
-                report.status == STATUS_COUNTEREXAMPLE
-                or report.metadata.get("strict_normalizer_witness")
-            ):
-                report = _verify(thm, G, H, mode)
-            reports.append(_copy_report(report, subject))
+        if isinstance(entry, list):
+            stats["hits"] += len(members)
+        for H in members:
+            subject = {**base_subject, "subgroup": fingerprint(H), "subgroup_order": H.order()}
+            if isinstance(entry, str):
+                reports.append(skip_report("maximal-normalizer", subject, entry))
+                continue
+            for thm, mode, report in entry:
+                if H is not rep and (
+                    report.status == STATUS_COUNTEREXAMPLE
+                    or report.metadata.get("strict_normalizer_witness")
+                ):
+                    report = _verify(thm, G, H, mode)
+                reports.append(_copy_report(report, subject))
 
     # Frobenius decompositions feed the complement-structure checks
     try:
@@ -155,10 +150,20 @@ def scan_group(
             reports.append(rt)
 
     if intro and G.order() <= INTRO_BOUND:
-        reports.extend(intro_suite(G, gname, subs))
+        reports.extend(intro_suite(G, gname))
 
     reports.sort(key=VerdictReport.sort_key)
     return reports, stats
+
+
+def _check_request(theorems: tuple[str, ...], modes: tuple[str, ...]) -> None:
+    """Refuse a theorem or mode the scan does not know, before any work."""
+    for thm in theorems:
+        if thm not in VERIFIERS:
+            raise UnknownTheorem(f"unknown theorem {thm!r}; pick from {', '.join(THEOREM_NAMES)}")
+    for mode in modes:
+        if mode not in MODES:
+            raise InvalidParameter(f"unknown mode {mode!r}; pick from {', '.join(MODES)}")
 
 
 def _class_reports(
@@ -202,7 +207,7 @@ def _copy_report(report: VerdictReport, subject: dict) -> VerdictReport:
 # -- intro property suite ----------------------------------------------------------
 
 
-def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> list[VerdictReport]:
+def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
     """Classical criteria checked per group: central-Sylow p-nilpotence,
     the Thompson J(P)/Z(P) criterion, the normalizer/centralizer p-group
     criterion, solvability of nilpotent-by-nilpotent factorizations, and the
@@ -212,10 +217,9 @@ def intro_suite(G: Group, gname: str, subs: list[Subgroup] | None = None) -> lis
     computed once per conjugacy class of subgroups, on its representative,
     and read per member in lattice order.
     """
-    if subs is None:
-        subs = enumerate_subgroups(G)
+    subs = enumerate_subgroups(G)
     classes = subgroup_classes(G)
-    where = class_index(G)
+    where = {S.carrier.element_tuples(): i for i, cls in enumerate(classes) for S in cls.members}
     member_classes = [where[S.carrier.element_tuples()] for S in subs]
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
@@ -391,6 +395,7 @@ def scan(
     """
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
+    _check_request(theorems, modes)
     sized: list[tuple[int, GroupSpec]] = []
     for spec in specs:
         order = build(spec)[0].order()

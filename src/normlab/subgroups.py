@@ -32,7 +32,6 @@ __all__ = [
     "subgroup",
     "whole",
     "trivial_subgroup",
-    "conjugate_subgroup",
     "join",
     "intersection",
     "normal_closure",
@@ -44,7 +43,6 @@ __all__ = [
     "SubgroupClass",
     "enumerate_subgroups",
     "subgroup_classes",
-    "class_index",
     "minimal_normal_subgroups",
     "is_simple",
     "subgroup_le",
@@ -83,12 +81,11 @@ def _check_ambient(ambient: Group, *subs: Subgroup) -> None:
             raise AmbientMismatch("subgroup belongs to a different ambient group")
 
 
-def subgroup(ambient: Group, gens: Sequence[Perm], check: bool = True) -> Subgroup:
+def subgroup(ambient: Group, gens: Sequence[Perm]) -> Subgroup:
     """Subgroup of the ambient group generated by the given permutations."""
-    if check:
-        for g in gens:
-            if not ambient.contains(g):
-                raise NotASubgroup(f"generator {format_perm(g)} not in the ambient group")
+    for g in gens:
+        if not ambient.contains(g):
+            raise NotASubgroup(f"generator {format_perm(g)} not in the ambient group")
     return Subgroup(ambient, Group(ambient.degree, gens))
 
 
@@ -98,11 +95,6 @@ def whole(G: Group) -> Subgroup:
 
 def trivial_subgroup(G: Group) -> Subgroup:
     return Subgroup(G, trivial_group(G.degree))
-
-
-def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
-    gens = [conjugate_tuple(h, g.images) for h in H.carrier.generator_tuples]
-    return Subgroup(H.ambient, Group.from_generator_tuples(H.ambient.degree, gens))
 
 
 def subgroup_le(A: Subgroup, B: Subgroup) -> bool:
@@ -330,11 +322,13 @@ def _chain_backtrack(
 
 
 class SubgroupClass(NamedTuple):
-    """One conjugacy class of subgroups: its representative and the element
-    sets of all its members, the representative's first."""
+    """One conjugacy class of subgroups: its representative and all its
+    members, the representative first. The members are the subgroups that
+    ``enumerate_subgroups`` returns, and a class has one member exactly when
+    that subgroup is normal."""
 
     representative: Subgroup
-    members: tuple[frozenset, ...]
+    members: tuple[Subgroup, ...]
 
 
 def enumerate_subgroups(G: Group) -> list[Subgroup]:
@@ -354,17 +348,9 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
 
 def subgroup_classes(G: Group) -> list[SubgroupClass]:
     """The conjugacy classes of subgroups behind ``enumerate_subgroups``,
-    in the order the lattice met them (the trivial subgroup first)."""
+    in the order the lattice met them (the trivial subgroup first). Each
+    subgroup of the lattice is, as the same object, a member of one class."""
     return _lattice(G)[1]
-
-
-def class_index(G: Group) -> dict[frozenset, int]:
-    """Each subgroup's element set -> the index of its class in
-    ``subgroup_classes(G)``."""
-    return G.cached(
-        "subgroup_class_index",
-        lambda: {key: i for i, cls in enumerate(subgroup_classes(G)) for key in cls.members},
-    )
 
 
 def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
@@ -400,10 +386,10 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         records: list[SubgroupClass] = []
 
         def enter_class(key: frozenset) -> None:
-            members = tuple(orbit(key, gen_tuples, conjugate_key))
-            found.update(members)
-            rep = Subgroup(G, Group.from_element_tuples(degree, key))
-            records.append(SubgroupClass(rep, members))
+            keys = orbit(key, gen_tuples, conjugate_key)
+            found.update(keys)
+            members = tuple(Subgroup(G, Group.from_element_tuples(degree, k)) for k in keys)
+            records.append(SubgroupClass(members[0], members))
 
         enter_class(frozenset([ident]))
         for key in cyclics:
@@ -426,12 +412,7 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
                 Jkey = J if isinstance(J, frozenset) else frozenset(J)
                 if Jkey not in found:
                     enter_class(Jkey)
-        built = []
-        for rec in records:
-            built.append(rec.representative)
-            built.extend(
-                Subgroup(G, Group.from_element_tuples(degree, key)) for key in rec.members[1:]
-            )
+        built = [S for rec in records for S in rec.members]
         return sorted(built, key=cmp_to_key(_compare_element_streams)), records
 
     return G.cached("subgroup_lattice", compute)

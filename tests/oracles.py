@@ -14,7 +14,8 @@ library normalizer, centralizer and nilpotency test for every subgroup, the
 way the suite did before it read them once per conjugacy class;
 ``per_pair_scan_reports`` runs the library's maximal-normalizer test and
 verifiers on every pair, the way the scan did before it ran them once per
-conjugacy class.
+conjugacy class; ``conjugate_subgroup`` hands the library a conjugate of one
+of its subgroups, built from conjugated generators.
 """
 
 from __future__ import annotations
@@ -64,6 +65,12 @@ def inv(a: Perm) -> Perm:
 
 def conj(h: Perm, g: Perm) -> Perm:
     return mul(mul(inv(g), h), g)
+
+
+def conjugate_subgroup(H: Subgroup, g: Perm) -> Subgroup:
+    """H^g as a library subgroup, generated by the conjugated generators of H."""
+    gens = [conjugate_tuple(h, g.images) for h in H.carrier.generator_tuples]
+    return Subgroup(H.ambient, Group.from_generator_tuples(H.ambient.degree, gens))
 
 
 def mulclose(gens: list[Perm], degree: int) -> set[Perm]:

@@ -178,6 +178,12 @@ def test_group_file_errors_carry_line_numbers():
         parse_group_file("degree 3\ngen (1 2 3)\nsgen (1 2)\n")
 
 
+def test_group_file_sgen_outside_the_group_is_named():
+    # the second sgen lies outside the cyclic group of order 3
+    with pytest.raises(SubgroupNotContained, match=r"sgen .*\(1 2\)"):
+        parse_group_file("degree 3\ngen (1 2 3)\nsgen (1 3 2)\nsgen (1 2)\n")
+
+
 def test_file_spec_roundtrip(tmp_path):
     path = tmp_path / "klein.grp"
     path.write_text("degree 4\ngen (1 2)(3 4)\ngen (1 3)(2 4)\nsgen (1 2)(3 4)\n")

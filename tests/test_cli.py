@@ -236,6 +236,18 @@ def test_scan_cli_empty(tmp_path, capsys):
     assert doc["summary"]["status_counts"]["counterexample"] == 0
 
 
+def test_scan_cli_unknown_theorem_is_a_usage_error(tmp_path, capsys):
+    # refused before any group is built, also when no group is selected
+    out_path = tmp_path / "scan.json"
+    for group in ([], ["--group", "S:4"]):
+        code, _, err = run_cli(
+            ["scan", *group, "--max-order", "1", "--theorems", "bogus", "--out", str(out_path)],
+            capsys,
+        )
+        assert code == 2 and "unknown theorem 'bogus'" in err
+    assert not out_path.exists()
+
+
 def test_scan_cli_all_skipped_exit_code(tmp_path, capsys):
     # PSL2:17 is over the subgroup-enumeration bound: everything is skipped
     out_path = tmp_path / "scan.json"

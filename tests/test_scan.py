@@ -7,11 +7,10 @@ from pathlib import Path
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
-from normlab.errors import InvalidParameter, NotNormal, OrderTooLarge
+from normlab.errors import InvalidParameter, NotNormal, OrderTooLarge, UnknownTheorem
 from normlab.limits import get_limits
 from normlab.scan import INTRO_BOUND, VERIFIERS, intro_suite, scan, scan_group
 from normlab.subgroups import (
-    class_index,
     enumerate_subgroups,
     fingerprint,
     is_normal,
@@ -186,6 +185,24 @@ def test_scan_group_skips_only_bound_errors(monkeypatch):
         scan_group(parse_spec("S:3"), theorems=("hall",), intro=False)
 
 
+def test_a_bad_scan_request_is_refused_before_any_work(monkeypatch):
+    # an unknown mode was once scanned as h-normal, and an unknown theorem
+    # raised KeyError on a group with pairs and passed on one without
+    def no_build(spec):
+        raise AssertionError(f"built {spec}")
+
+    monkeypatch.setattr(scan_module, "build", no_build)
+    for spec in (parse_spec("S:4"), parse_spec("C:4")):
+        with pytest.raises(InvalidParameter, match="bogus"):
+            scan_group(spec, theorems=("comp22",), modes=("bogus",))
+        with pytest.raises(UnknownTheorem, match="bogus"):
+            scan_group(spec, theorems=("bogus",))
+        with pytest.raises(InvalidParameter, match="bogus"):
+            scan([spec], modes=(MODES[0], "bogus"))
+        with pytest.raises(UnknownTheorem, match="bogus"):
+            scan([spec], theorems=("hall", "bogus"), jobs=2)
+
+
 def test_hit_modes_are_constant_on_subgroup_classes():
     # the scan tests each class of subgroups once, on its representative,
     # and carries that context, passing results included, to every member of
@@ -195,16 +212,17 @@ def test_hit_modes_are_constant_on_subgroup_classes():
         G, _ = build(spec)
         if G.order() > get_limits().subgroup_bound:
             continue
-        by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
         pairs = hits = 0
         for cls in subgroup_classes(G):
             rep = cls.representative
-            if rep.order() == G.order() or is_normal(G, rep):
+            normal = rep.order() == G.order() or is_normal(G, rep)
+            assert normal == (len(cls.members) == 1), spec
+            if normal:
                 continue
             rep_ctx = maximal_normalizer_context(G, rep)
             class_modes = [m for m in MODES if rep_ctx.result(m).passed]
-            for key in cls.members:
-                ctx = maximal_normalizer_context(G, by_key[key])
+            for H in cls.members:
+                ctx = maximal_normalizer_context(G, H)
                 assert [m for m in MODES if ctx.result(m).passed] == class_modes, spec
                 for m in class_modes:
                     assert ctx.result(m) == rep_ctx.result(m), (spec, m)
@@ -219,24 +237,24 @@ def test_scan_group_evaluates_each_class_once_per_mode(monkeypatch):
     # share its results instead of evaluating candidates again
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
-    where = class_index(G)
-    tested = {
-        where[cls.representative.carrier.element_tuples()]
+    tested = [
+        cls.representative.carrier.element_tuples()
         for cls in subgroup_classes(G)
         if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
-    }
+    ]
     expected, expected_stats = scan_group(spec, intro=False)
 
     evaluated = []
     evaluate = MaxNormContext._evaluate
 
     def counting(self, mode):
-        evaluated.append((where[self.H.carrier.element_tuples()], mode))
+        evaluated.append((self.H.carrier.element_tuples(), mode))
         return evaluate(self, mode)
 
     monkeypatch.setattr(MaxNormContext, "_evaluate", counting)
     got, stats = scan_group(spec, intro=False)
-    assert sorted(evaluated) == sorted((c, m) for c in tested for m in MODES)
+    assert len(evaluated) == len(tested) * len(MODES)
+    assert set(evaluated) == {(key, m) for key in tested for m in MODES}
     assert stats == expected_stats and expected_stats["hits"] > len(tested)
     assert _scrub(got) == _scrub(expected)
 
@@ -254,7 +272,7 @@ def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
         if cls.representative.order() < G.order() and not is_normal(G, cls.representative)
     ]
     hit_runs = {
-        (cls.members[0], m)
+        (cls.representative.carrier.element_tuples(), m)
         for cls in tested
         for m in MODES
         if maximal_normalizer_context(G, cls.representative).result(m).passed
@@ -282,7 +300,7 @@ def test_scan_group_builds_one_context_per_tested_class(monkeypatch):
     got, stats = scan_group(spec, intro=False)
     assert len(built) == len(tested) < 59
     assert {H.carrier.element_tuples() for H in built} == {
-        cls.members[0] for cls in tested
+        cls.representative.carrier.element_tuples() for cls in tested
     }
     for thm in VERIFIERS:
         assert len(runs[thm]) == len(hit_runs) and set(runs[thm]) == hit_runs, thm
@@ -310,7 +328,6 @@ def test_a_bound_on_the_class_context_is_reported_per_member(monkeypatch):
     # skip report carrying the class's message, the other classes' reports
     # are those of an unbounded scan
     G, _ = build(spec)
-    by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
     bounded = next(
         cls
         for cls in subgroup_classes(G)
@@ -318,10 +335,10 @@ def test_a_bound_on_the_class_context_is_reported_per_member(monkeypatch):
         and cls.representative.order() < G.order()
         and any(maximal_normalizer_context(G, cls.representative).result(m).passed for m in MODES)
     )
-    prints = {fingerprint(by_key[key]) for key in bounded.members}
+    prints = {fingerprint(H) for H in bounded.members}
 
     def bound_one_class(G, H):
-        if H.carrier.element_tuples() == bounded.members[0]:
+        if H.carrier.element_tuples() == bounded.representative.carrier.element_tuples():
             raise OrderTooLarge("stand-in bound for one class")
         return maximal_normalizer_context(G, H)
 
@@ -343,7 +360,7 @@ def test_intro_suite_matches_the_per_subgroup_loops():
         if G.order() > INTRO_BOUND:
             continue
         subs = enumerate_subgroups(G)
-        got = {r.theorem: r.conclusion_checks for r in intro_suite(G, str(spec), subs)}
+        got = {r.theorem: r.conclusion_checks for r in intro_suite(G, str(spec))}
         for theorem, checks in intro_checks_per_subgroup(G, subs).items():
             assert got[theorem] == checks, (spec, theorem)
 
@@ -372,7 +389,6 @@ def test_scan_reports_match_per_pair_runs_on_a_non_abelian_fitting():
     spec = parse_spec(f"FILE:{Path(__file__).parent / 'data' / 'frobenius_7_1_2_3.grp'}")
     G, _ = build(spec)
     reports, _ = scan_group(spec, intro=False)
-    by_key = {S.carrier.element_tuples(): S for S in enumerate_subgroups(G)}
     sample, cores = [], set()
     for cls in subgroup_classes(G):
         rep = cls.representative
@@ -381,7 +397,7 @@ def test_scan_reports_match_per_pair_runs_on_a_non_abelian_fitting():
         ctx = maximal_normalizer_context(G, rep)
         if any(ctx.result(m).passed for m in MODES):
             cores.add(ctx.core.order())
-            sample.extend(by_key[key] for key in cls.members[:2])
+            sample.extend(cls.members[:2])
     assert len(sample) == 20 and cores == {1, 7, 49}
     prints = {fingerprint(H) for H in sample}
     got = [r for r in reports if r.theorem in VERIFIERS and r.subject["subgroup"] in prints]
@@ -397,8 +413,7 @@ def test_a_witness_of_the_representative_is_found_again_per_member(monkeypatch):
     # to each other member's own pair, with no context from the class
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
-    where = class_index(G)
-    classes = subgroup_classes(G)
+    class_of = {S.carrier.element_tuples(): cls for cls in subgroup_classes(G) for S in cls.members}
     for theorem in ("comp22", "rem23"):
         runs = []
 
@@ -431,13 +446,17 @@ def test_a_witness_of_the_representative_is_found_again_per_member(monkeypatch):
         # its own pair
         with_context = [(thm, key, mode) for thm, key, mode, no_context in runs if not no_context]
         assert len(with_context) == len(set(with_context)), theorem
-        assert all(classes[where[key]].members[0] == key for _, key, _ in with_context), theorem
+        assert all(
+            class_of[key].representative.carrier.element_tuples() == key for _, key, _ in with_context
+        ), theorem
         named_classes = [
-            classes[where[key]] for thm, key, mode in with_context if (thm, mode) == (theorem, MODES[0])
+            class_of[key] for thm, key, mode in with_context if (thm, mode) == (theorem, MODES[0])
         ]
         fresh = [(thm, key, mode) for thm, key, mode, no_context in runs if no_context]
         assert len(fresh) == len(set(fresh)) and set(fresh) == {
-            (theorem, key, MODES[0]) for cls in named_classes for key in cls.members[1:]
+            (theorem, S.carrier.element_tuples(), MODES[0])
+            for cls in named_classes
+            for S in cls.members[1:]
         }, theorem
         assert len(named) == sum(len(cls.members) for cls in named_classes) > len(named_classes)
 
@@ -448,8 +467,7 @@ def test_copies_of_a_class_report_share_no_mutable_part(monkeypatch):
     # a stand-in entry), leaves its classmates' reports alone
     spec = parse_spec("PSL2:7")
     G, _ = build(spec)
-    where = class_index(G)
-    class_of = {fingerprint(S): where[S.carrier.element_tuples()] for S in enumerate_subgroups(G)}
+    class_of = {fingerprint(S): i for i, cls in enumerate(subgroup_classes(G)) for S in cls.members}
     verify = VERIFIERS["hall"]
 
     def with_nested_metadata(*args):

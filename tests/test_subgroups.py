@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -9,13 +11,12 @@ from normlab.arith import primes_dividing
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.group import Group
-from normlab.limits import Limits, using_limits
+from normlab.limits import Limits, get_limits, using_limits
 from normlab.perm import conjugate_tuple, order_of_tuple, perm_from_cycles
 from normlab.subgroups import (
     Subgroup,
     center,
     centralizer,
-    class_index,
     core,
     enumerate_subgroups,
     fingerprint,
@@ -48,6 +49,8 @@ from oracles import (
     lattice_by_cyclic_joins,
     mulclose,
 )
+
+EXTRASPECIAL_FROBENIUS = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
 
 
 def _elements(S):
@@ -415,23 +418,39 @@ def test_subgroup_classes_partition_the_lattice():
     for name in ("S:4", "A:5", "AGL1:7", "PROD(S:3,C:2)"):
         G, _ = build(parse_spec(name))
         classes = subgroup_classes(G)
-        members = [key for cls in classes for key in cls.members]
+        members = [S.carrier.element_tuples() for cls in classes for S in cls.members]
         assert len(members) == len(set(members)), name
         assert set(members) == {S.carrier.element_tuples() for S in enumerate_subgroups(G)}
         assert classes[0].representative.order() == 1
-        assert class_index(G) == {key: i for i, cls in enumerate(classes) for key in cls.members}
         for cls in classes:
             rep = cls.representative
-            assert cls.members[0] == rep.carrier.element_tuples()
+            assert cls.members[0] is rep
             N = normalizer(G, rep)
             assert _elements(N) == brute_normalizer(set(G.elements()), _elements(rep))
             # orbit-stabilizer: the class has [G : N_G(rep)] members
             assert len(cls.members) * N.order() == G.order(), name
             conjugates = {
-                frozenset(conjugate_tuple(h, g) for h in cls.members[0])
+                frozenset(conjugate_tuple(h, g) for h in rep.carrier.element_tuples())
                 for g in G.element_tuples()
             }
-            assert conjugates == set(cls.members), name
+            assert conjugates == {S.carrier.element_tuples() for S in cls.members}, name
+
+
+def test_each_lattice_subgroup_is_one_class_member():
+    # the classes hold the lattice's own subgroup objects, so a scan over
+    # the classes reaches every subgroup exactly once
+    specs = default_sweep(2500) + [parse_spec(f"FILE:{EXTRASPECIAL_FROBENIUS}")]
+    checked = 0
+    for spec in specs:
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        subs = enumerate_subgroups(G)
+        homes = Counter(id(S) for cls in subgroup_classes(G) for S in cls.members)
+        assert [homes[id(S)] for S in subs] == [1] * len(subs), spec
+        assert sum(homes.values()) == len(subs), spec
+        checked += 1
+    assert checked > 40
 
 
 def test_enumeration_respects_bound(psl2_17):

@@ -12,7 +12,6 @@ from normlab.perm import perm_from_cycles
 from normlab.structure import fitting_subgroup, is_abelian, p_core, sylow_subgroup
 from normlab.subgroups import (
     Subgroup,
-    conjugate_subgroup,
     core,
     enumerate_subgroups,
     fingerprint,
@@ -40,7 +39,7 @@ from normlab.theorems import (
 )
 from normlab.verdict import VerdictReport
 
-from oracles import frobenius_by_normal_kernels
+from oracles import conjugate_subgroup, frobenius_by_normal_kernels
 
 EXTRASPECIAL_FROBENIUS = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
 
