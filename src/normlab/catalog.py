@@ -25,9 +25,6 @@ from .subgroups import Subgroup, subgroup
 __all__ = ["GroupSpec", "parse_spec", "build", "select_subgroup", "parse_group_file",
            "default_sweep"]
 
-_KINDS = ("S", "A", "C", "D", "PSL2", "AGL1", "PROD", "FILE")
-
-
 @dataclass(frozen=True)
 class GroupSpec:
     """Parsed description of a catalog construction or generator file."""
@@ -36,7 +33,6 @@ class GroupSpec:
     param: int = 0
     path: str = ""
     factors: tuple["GroupSpec", ...] = ()
-    selector: str = ""
 
     def __str__(self) -> str:
         if self.kind == "PROD":
@@ -48,7 +44,7 @@ class GroupSpec:
         return body
 
 
-def parse_spec(text: str, selector: str = "") -> GroupSpec:
+def parse_spec(text: str) -> GroupSpec:
     text = text.strip()
     if text.startswith("PROD(") and text.endswith(")"):
         inner = text[5:-1]
@@ -69,20 +65,21 @@ def parse_spec(text: str, selector: str = "") -> GroupSpec:
             parts.append(current)
         if len(parts) < 2:
             raise InvalidParameter(f"PROD needs at least two factors: {text!r}")
-        return GroupSpec("PROD", factors=tuple(parse_spec(p) for p in parts), selector=selector)
+        return GroupSpec("PROD", factors=tuple(parse_spec(p) for p in parts))
     if text.startswith("FILE:"):
-        return GroupSpec("FILE", path=text[5:], selector=selector)
-    if ":" not in text:
-        raise InvalidParameter(f"cannot parse group spec {text!r}")
+        return GroupSpec("FILE", path=text[5:])
     kind, _, raw = text.partition(":")
     kind = kind.strip()
-    if kind not in _KINDS:
-        raise InvalidParameter(f"unknown group kind {kind!r}")
+    if kind not in _FAMILIES:
+        raise InvalidParameter(
+            f"cannot parse group spec {text!r}: expected one of"
+            f" {', '.join(_FAMILIES)} with ':n', PROD(spec,spec,..) or FILE:path"
+        )
     try:
         param = int(raw)
     except ValueError:
         raise InvalidParameter(f"non-integer parameter in {text!r}") from None
-    return GroupSpec(kind, param=param, selector=selector)
+    return GroupSpec(kind, param=param)
 
 
 # -- family builders -------------------------------------------------------------
@@ -201,33 +198,26 @@ def select_subgroup(G: Group, selector: str) -> Subgroup:
     raise InvalidParameter(f"unknown subgroup selector {selector!r}")
 
 
+# the families with an integer parameter, by name
+_FAMILIES = {"S": _symmetric, "A": _alternating, "C": _cyclic, "D": _dihedral,
+             "PSL2": _psl2, "AGL1": _agl1}
+
+
 def build(spec: GroupSpec) -> tuple[Group, Subgroup | None]:
-    """Construct the group (and selected subgroup, if any) for a spec."""
-    if spec.kind == "S":
-        G = _symmetric(spec.param)
-    elif spec.kind == "A":
-        G = _alternating(spec.param)
-    elif spec.kind == "C":
-        G = _cyclic(spec.param)
-    elif spec.kind == "D":
-        G = _dihedral(spec.param)
-    elif spec.kind == "AGL1":
-        G = _agl1(spec.param)
-    elif spec.kind == "PSL2":
-        G = _psl2(spec.param)
-    elif spec.kind == "PROD":
-        G = _product(spec.factors)
-    elif spec.kind == "FILE":
-        with open(spec.path, "r", encoding="utf-8") as fh:
-            G, sel = parse_group_file(fh.read())
-        if spec.selector:
-            return G, select_subgroup(G, spec.selector)
-        return G, sel
-    else:
+    """Construct the group for a spec, with the subgroup named by a FILE
+    spec's ``sgen`` lines (None for every other spec)."""
+    if spec.kind == "PROD":
+        return _product(spec.factors), None
+    if spec.kind == "FILE":
+        try:
+            with open(spec.path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidParameter(f"cannot read group file {spec.path!r}: {type(exc).__name__}") from None
+        return parse_group_file(text)
+    if spec.kind not in _FAMILIES:
         raise InvalidParameter(f"unknown group kind {spec.kind!r}")
-    if spec.selector:
-        return G, select_subgroup(G, spec.selector)
-    return G, None
+    return _FAMILIES[spec.kind](spec.param), None
 
 
 # -- generator files --------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Stabilizer chains: deterministic Schreier-Sims with explicit transversals.
 
-Each new base point is the smallest point not yet in the base (after any
-hint), and a level is appended for every such point until one is moved by
-the residue that needs it; the levels in between have trivial transversals.
-A chain grown without a hint therefore has the base 1, 2, .., k with every
-level fixing all smaller points, so its depth-first walk is ascending; that
-walk, pruned per node by its callers, is the only search over a chain.
+Each new base point is the smallest point not yet in the base, and a level
+is appended for every such point until one is moved by the residue that
+needs it; the levels in between have trivial transversals. Every chain
+therefore has the base 1, 2, .., k with every level fixing all smaller
+points, so its depth-first walk is ascending; that walk, pruned per node by
+its callers, is the only search over a chain.
 Transversal entries are never overwritten once created, which keeps earlier
 sift verdicts valid while the chain grows and makes the whole construction
 deterministic. Permutations are image tuples throughout.
@@ -18,7 +18,7 @@ from math import prod
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InvariantViolated, PointOutOfRange
+from .errors import InvariantViolated
 from .perm import compose_tuples, identity_tuple, inverse_tuple
 
 __all__ = ["StabilizerChain", "build_chain"]
@@ -79,12 +79,11 @@ def _sift_from(levels: list[_Level], p: Images, i: int) -> tuple[Images, int]:
 def _add_strong_generator(levels: list[_Level], ident: Images, r: Images, j: int) -> None:
     # r fixes the bases of levels 0..j-1, so it is a valid generator there too
     if j == len(levels):
-        used = {lvl.base for lvl in levels}
-        for pt in range(1, len(r) + 1):
-            if pt not in used:
-                levels.append(_Level(pt, ident))
-                if r[pt - 1] != pt:
-                    break
+        # the bases are 1..len(levels); r fixes them all
+        for pt in range(len(levels) + 1, len(r) + 1):
+            levels.append(_Level(pt, ident))
+            if r[pt - 1] != pt:
+                break
         j = len(levels) - 1
     for m in range(j + 1):
         lvl = levels[m]
@@ -172,12 +171,11 @@ class StabilizerChain:
         the top), and returns the (child, state) pairs to keep; sorted by
         child, they make a pruned walk the full walk minus the cut subtrees.
 
-        On an ascending base whose levels fix every smaller point (any chain
-        grown without a hint) the walk is in ascending image-tuple order: an
-        element's images of the points below level i's base are fixed by
-        u_1 .. u_(i-1) alone, so the sorted children of a prefix differ
-        first at that base's image (Sims's lexicographic coset
-        representatives).
+        The base ascends and every level fixes each smaller point, so the
+        walk is in ascending image-tuple order: an element's images of the
+        points below level i's base are fixed by u_1 .. u_(i-1) alone, so the
+        sorted children of a prefix differ first at that base's image (Sims's
+        lexicographic coset representatives).
         """
         reps = [[u for u, _ in lvl.transversal.values()] for lvl in self.branching_levels()]
         if not reps:
@@ -221,14 +219,9 @@ class StabilizerChain:
         return StabilizerChain(self.degree, levels, ident)
 
 
-def build_chain(degree: int, generators: Sequence[Images], base_hint: tuple[int, ...] = ()) -> StabilizerChain:
+def build_chain(degree: int, generators: Sequence[Images]) -> StabilizerChain:
     ident = identity_tuple(degree)
-    for b in base_hint:
-        if not 1 <= b <= degree:
-            raise PointOutOfRange(f"base point {b} outside 1..{degree}")
-    if len(set(base_hint)) != len(base_hint):
-        raise PointOutOfRange("base hint points must be distinct")
-    levels = [_Level(b, ident) for b in base_hint]
+    levels: list[_Level] = []
     for g in generators:
         if g == ident:
             continue

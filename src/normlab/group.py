@@ -64,10 +64,6 @@ class Group:
                     self._chain = chain
         return chain
 
-    def chain_with_base(self, base_hint: tuple[int, ...]) -> StabilizerChain:
-        """A fresh chain whose base starts with the given points."""
-        return build_chain(self.degree, self.generator_tuples, base_hint=base_hint)
-
     def cached(self, key, thunk: Callable):
         try:
             return self._cache[key]
@@ -153,10 +149,15 @@ class Group:
         return len(self.orbit(1)) == self.degree
 
     def point_stabilizer(self, point: int) -> Group:
-        """The subgroup fixing the given point, via a chain based there."""
+        """The subgroup fixing the given point: the stabilizer of point 1 in
+        the group relabelled by the transposition (1 point), relabelled back."""
         if not 1 <= point <= self.degree:
             raise PointOutOfRange(f"point {point} outside 1..{self.degree}")
-        gens = self.chain_with_base((point,)).stabilizer_generators()
+        swap = list(range(1, self.degree + 1))
+        swap[0], swap[point - 1] = point, 1
+        swap = tuple(swap)
+        relabelled = build_chain(self.degree, [conjugate_tuple(g, swap) for g in self.generator_tuples])
+        gens = [conjugate_tuple(g, swap) for g in relabelled.stabilizer_generators()]
         return Group.from_generator_tuples(self.degree, gens)
 
     def conjugacy_class_reps(self) -> list[Perm]:

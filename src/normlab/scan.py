@@ -39,6 +39,7 @@ from .subgroups import (
 from .theorems import (
     MODES,
     MaxNormContext,
+    check_mode,
     frobenius_decomposition,
     maximal_normalizer_context,
     verify_burnside_complement,
@@ -86,7 +87,21 @@ def scan_group(
     modes: tuple[str, ...] = MODES,
     intro: bool = True,
 ) -> tuple[list[VerdictReport], dict]:
-    """Scan one catalog group; returns its reports plus counters."""
+    """Scan one catalog group; returns its reports plus counters.
+
+    A pair is a non-normal proper subgroup H: a member of a class with more
+    than one member (a normal subgroup, G among them, is a class on its
+    own). Conjugating H in G carries its core, quotient, H/C, candidates and
+    their normalizers to those of H^g, and no verdict reads more than
+    orders, G and what the class shares. So each class is handled in one
+    pass of the class loop: its members count as pairs, the test and each
+    verifier run once on its representative, and each member of a hit class
+    gets copies of the representative's reports. A report naming an element
+    or subgroup of the representative (a counterexample, a rem23
+    strict-normalizer witness) is made again on each other member's own
+    pair. A bound depends only on orders and indices: a class whose test
+    meets one gives each member a skip report with the bound's message.
+    """
     _check_request(theorems, modes)
     G, _ = build(spec)
     gname = str(spec)
@@ -99,38 +114,32 @@ def scan_group(
         stats["skipped_groups"] = 1
         return [skip_report("scan", dict(base_subject), str(exc))], stats
 
-    # a pair is a non-normal proper subgroup H, a member of a class with more
-    # than one member (a normal subgroup, G among them, is a class on its
-    # own). Conjugating H in G carries its core, quotient, H/C, candidates
-    # and their normalizers to those of H^g, and no verdict reads more than
-    # orders, G and what the class shares. So the test and the verifiers run
-    # once per class, on its representative, and each member of a hit class
-    # gets copies of its reports. A report naming an element or subgroup of
-    # the representative (a counterexample, a rem23 strict-normalizer
-    # witness) is made again on each other member's own pair. A bound depends
-    # only on orders and indices: a class whose test meets one gives each
-    # member a skip report with the class's message.
+    def subjects(members: tuple[Subgroup, ...]) -> list[dict]:
+        return [{**base_subject, "subgroup": fingerprint(H), "subgroup_order": H.order()} for H in members]
+
     for rep, members in classes:
         if len(members) == 1:
             continue
         stats["pairs"] += len(members)
-        entry = _class_reports(G, rep, theorems, modes)
-        if entry is None:
+        try:
+            ctx = maximal_normalizer_context(G, rep)
+            passed = [m for m in modes if ctx.result(m).passed]
+        except OrderTooLarge as exc:
+            reports += [skip_report("maximal-normalizer", subject, str(exc)) for subject in subjects(members)]
             continue
-        if isinstance(entry, list):
-            stats["hits"] += len(members)
-        for H in members:
-            subject = {**base_subject, "subgroup": fingerprint(H), "subgroup_order": H.order()}
-            if isinstance(entry, str):
-                reports.append(skip_report("maximal-normalizer", subject, entry))
-                continue
-            for thm, mode, report in entry:
-                if H is not rep and (
-                    report.status == STATUS_COUNTEREXAMPLE
-                    or report.metadata.get("strict_normalizer_witness")
-                ):
-                    report = _verify(thm, G, H, mode)
-                reports.append(_copy_report(report, subject))
+        if not passed:
+            continue
+        stats["hits"] += len(members)
+        member_subjects = subjects(members)
+        for mode in passed:
+            for thm in theorems:
+                report = _verify(thm, G, rep, mode, ctx)
+                for H, subject in zip(members, member_subjects):
+                    own = H is not rep and (
+                        report.status == STATUS_COUNTEREXAMPLE
+                        or report.metadata.get("strict_normalizer_witness")
+                    )
+                    reports.append(_copy_report(_verify(thm, G, H, mode) if own else report, subject))
 
     # Frobenius decompositions feed the complement-structure checks
     try:
@@ -162,24 +171,7 @@ def _check_request(theorems: tuple[str, ...], modes: tuple[str, ...]) -> None:
         if thm not in VERIFIERS:
             raise UnknownTheorem(f"unknown theorem {thm!r}; pick from {', '.join(THEOREM_NAMES)}")
     for mode in modes:
-        if mode not in MODES:
-            raise InvalidParameter(f"unknown mode {mode!r}; pick from {', '.join(MODES)}")
-
-
-def _class_reports(
-    G: Group, rep: Subgroup, theorems: tuple[str, ...], modes: tuple[str, ...]
-) -> list | str | None:
-    """(theorem, mode, report) for each requested verifier run on a class
-    representative in each mode it passes the maximal-normalizer test in;
-    None when it passes in none; the message of a bound that stops the test."""
-    try:
-        ctx = maximal_normalizer_context(G, rep)
-        passed = [m for m in modes if ctx.result(m).passed]
-    except OrderTooLarge as exc:
-        return str(exc)
-    if not passed:
-        return None
-    return [(thm, m, _verify(thm, G, rep, m, ctx)) for m in passed for thm in theorems]
+        check_mode(mode)
 
 
 def _verify(
@@ -215,12 +207,12 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
 
     |N(Q)/C(Q)| and nilpotency do not change under conjugation, so they are
     computed once per conjugacy class of subgroups, on its representative,
-    and read per member in lattice order.
+    and read per member in lattice order through the map from each lattice
+    subgroup to its class representative.
     """
     subs = enumerate_subgroups(G)
     classes = subgroup_classes(G)
-    where = {S.carrier.element_tuples(): i for i, cls in enumerate(classes) for S in cls.members}
-    member_classes = [where[S.carrier.element_tuples()] for S in subs]
+    rep_of = {S: cls.representative for cls in classes for S in cls.members}
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
     primes = primes_dividing(G.order())
@@ -263,24 +255,20 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
     out.append(VerdictReport("intro-thompson64", dict(subject), [], checks).finalize())
 
     # p-nilpotent iff N(Q)/C(Q) is a p-group for every non-trivial p-subgroup Q
-    ratios: dict[int, int] = {}  # class -> |N(Q)/C(Q)|
-
-    def ratio_of(cls: int) -> int:
-        if cls not in ratios:
-            Q = classes[cls].representative
-            ratios[cls] = normalizer(G, Q).order() // centralizer(G, Q).order()
-        return ratios[cls]
-
+    ratios: dict[Subgroup, int] = {}  # class representative -> |N(Q)/C(Q)|
     checks = []
     for p in primes:
         lhs = is_p_nilpotent(G, p)
         rhs = True
         witness = ""
-        for Q, cls in zip(subs, member_classes):
+        for Q in subs:
             q_order = Q.order()
             if q_order == 1 or q_order != p_part(q_order, p):
                 continue
-            ratio = ratio_of(cls)
+            R = rep_of[Q]
+            if R not in ratios:
+                ratios[R] = normalizer(G, R).order() // centralizer(G, R).order()
+            ratio = ratios[R]
             if ratio != p_part(ratio, p):
                 rhs = False
                 witness = f"|N/C| = {ratio} for {fingerprint(Q)}"
@@ -295,8 +283,8 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
     out.append(VerdictReport("intro-frobenius", dict(subject), [], checks).finalize())
 
     # nilpotent-by-nilpotent factorizations: solvability and Fitting length
-    class_nilpotent = [is_nilpotent(cls.representative.carrier) for cls in classes]
-    nilpotent_flags = [class_nilpotent[cls] for cls in member_classes]
+    nilpotent = {R: is_nilpotent(R.carrier) for R, _ in classes}
+    nilpotent_flags = [nilpotent[rep_of[S]] for S in subs]
     elem_sets = [S.carrier.element_tuples() for S in subs]
     n = G.order()
     factorizations: list[tuple[int, int]] = []
@@ -404,21 +392,21 @@ def scan(
     sized.sort(key=lambda item: -item[0])
     selected = [spec for _, spec in sized]
 
-    all_reports: list[VerdictReport] = []
-    totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}
     if jobs == 1 or len(selected) <= 1:
-        for spec in selected:
-            reports, stats = scan_group(spec, theorems, modes, intro)
-            all_reports.extend(reports)
-            for k in totals:
-                totals[k] += stats.get(k, 0)
+        results = [scan_group(spec, theorems, modes, intro) for spec in selected]
     else:
         args = [(str(spec), theorems, modes, intro, get_limits()) for spec in selected]
         with multiprocessing.get_context("fork").Pool(min(jobs, len(selected))) as pool:
-            for dicts, stats in pool.map(_scan_worker, args, chunksize=1):
-                all_reports.extend(VerdictReport.from_dict(d) for d in dicts)
-                for k in totals:
-                    totals[k] += stats.get(k, 0)
+            results = [
+                ([VerdictReport.from_dict(d) for d in dicts], stats)
+                for dicts, stats in pool.map(_scan_worker, args, chunksize=1)
+            ]
 
+    all_reports: list[VerdictReport] = []
+    totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}
+    for reports, stats in results:
+        all_reports.extend(reports)
+        for k in totals:
+            totals[k] += stats.get(k, 0)
     all_reports.sort(key=VerdictReport.sort_key)
     return all_reports, summarize(all_reports, totals)

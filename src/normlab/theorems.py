@@ -14,7 +14,7 @@ from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
 from .closure import mulclose
-from .errors import DoesNotNormalize, OrderTooLarge
+from .errors import DoesNotNormalize, InvalidParameter, OrderTooLarge
 from .group import Group
 from .limits import get_limits
 from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
@@ -52,6 +52,7 @@ __all__ = [
     "MODE_H_NORMAL",
     "MaxNormContext",
     "MaximalNormalizerResult",
+    "check_mode",
     "FrobeniusDecomposition",
     "is_maximal_normalizer",
     "maximal_normalizer_context",
@@ -70,6 +71,12 @@ __all__ = [
 MODE_FIT_NORMAL = "fit-normal"
 MODE_H_NORMAL = "h-normal"
 MODES = (MODE_FIT_NORMAL, MODE_H_NORMAL)
+
+
+def check_mode(mode: str) -> None:
+    """Refuse a quantifier mode other than those in MODES."""
+    if mode not in MODES:
+        raise InvalidParameter(f"unknown mode {mode!r}; pick from {', '.join(MODES)}")
 
 
 # -- maximal normalizer --------------------------------------------------------
@@ -127,6 +134,7 @@ class MaxNormContext:
     def result(self, mode: str) -> MaximalNormalizerResult:
         cached = self._results.get(mode)
         if cached is None:
+            check_mode(mode)
             cached = self._evaluate(mode)
             self._results[mode] = cached
         return cached
@@ -192,8 +200,6 @@ def is_maximal_normalizer(
     mode selects what "normal" quantifies over: normal in Fit(H/C)
     (fit-normal, the default) or normal in H/C itself (h-normal).
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown quantifier mode {mode!r}")
     if context is None:
         context = maximal_normalizer_context(G, H)
     return context.result(mode)
@@ -353,22 +359,14 @@ def _nilpotent_check(H: Subgroup) -> Check:
     return Check("subgroup-nilpotent", passed, witness)
 
 
-def _subject(G: Group, H: Subgroup | None = None, **extra) -> dict:
-    d = {"group_order": G.order()}
-    if H is not None:
-        d["subgroup"] = fingerprint(H)
-        d["subgroup_order"] = H.order()
-    d.update(extra)
-    return d
-
-
 def _open(
     theorem: str, G: Group, H: Subgroup, mode: str, context: MaxNormContext | None
 ) -> tuple[float, VerdictReport, MaxNormContext, MaximalNormalizerResult]:
     """The pair verifiers' first step: the start time, the report with its
     subject, and the pair's context (built unless given) with its result."""
     started = time.perf_counter()
-    report = VerdictReport(theorem, _subject(G, H), mode=mode)
+    subject = {"group_order": G.order(), "subgroup": fingerprint(H), "subgroup_order": H.order()}
+    report = VerdictReport(theorem, subject, mode=mode)
     if context is None:
         context = maximal_normalizer_context(G, H)
     return started, report, context, context.result(mode)

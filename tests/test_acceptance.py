@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from normlab.catalog import build, default_sweep, parse_spec
+from normlab.catalog import build, default_sweep, parse_spec, select_subgroup
 from normlab.cli import main, report_document
 from normlab.structure import is_solvable, sylow_subgroup
 from normlab.subgroups import (
@@ -103,7 +103,8 @@ def test_criterion_3_agl_family():
     started = time.perf_counter()
     ok = True
     for p in (5, 7, 11, 13):
-        G, H = build(parse_spec(f"AGL1:{p}", selector="stab:1"))
+        G = build(parse_spec(f"AGL1:{p}"))[0]
+        H = select_subgroup(G, "stab:1")
         report = verify_comp22(G, H)
         ok = ok and report.status == "confirmed"
         ctx = maximal_normalizer_context(G, H)
@@ -117,7 +118,8 @@ def test_criterion_3_agl_family():
 
 def test_criterion_4_psl2_17():
     started = time.perf_counter()
-    G, H = build(parse_spec("PSL2:17", selector="syl:2"))
+    G = build(parse_spec("PSL2:17"))[0]
+    H = select_subgroup(G, "syl:2")
     ok = G.order() == 2448
     ok = ok and H.order() == 16
     dihedral, klein = is_dihedral_2group(H.carrier)

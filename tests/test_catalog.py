@@ -47,7 +47,8 @@ def test_cyclic_and_dihedral():
 
 def test_agl_order_and_frobenius():
     for p in (5, 7, 11, 13):
-        G, H = build(parse_spec(f"AGL1:{p}", selector="stab:1"))
+        G = build(parse_spec(f"AGL1:{p}"))[0]
+        H = select_subgroup(G, "stab:1")
         assert G.order() == p * (p - 1)
         assert G.is_transitive()
         K = p_core(G, p)
@@ -85,7 +86,8 @@ def test_psl2_requires_odd_prime():
 
 
 def test_psl2_17_selector(psl2_17):
-    G, H = build(parse_spec("PSL2:17", selector="syl:2"))
+    G = build(parse_spec("PSL2:17"))[0]
+    H = select_subgroup(G, "syl:2")
     assert G.order() == 2448
     assert H.order() == 16
 
@@ -120,13 +122,14 @@ def test_parse_spec_rejects_garbage():
 
 
 def test_gens_selector(s4):
-    G, H = build(parse_spec("S:4", selector="gens:(1 2)(3 4)|(1 3)(2 4)"))
+    G = build(parse_spec("S:4"))[0]
+    H = select_subgroup(G, "gens:(1 2)(3 4)|(1 3)(2 4)")
     assert H.order() == 4
 
 
 def test_gens_selector_not_contained():
     with pytest.raises(SubgroupNotContained):
-        build(parse_spec("A:4", selector="gens:(1 2)"))
+        select_subgroup(build(parse_spec("A:4"))[0], "gens:(1 2)")
 
 
 def test_gens_selector_lets_other_errors_through(s3, monkeypatch):

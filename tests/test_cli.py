@@ -170,6 +170,31 @@ def test_verify_bad_group_spec(capsys):
     assert code == 2
 
 
+def test_an_unreadable_group_file_is_a_usage_error(tmp_path, capsys):
+    # a FILE: spec that cannot be read once ended in a traceback (exit 1)
+    undecodable = tmp_path / "latin1.grp"
+    undecodable.write_bytes(b"degree 3\n# \xe9\n")
+    for path in (tmp_path / "missing.grp", tmp_path, undecodable):
+        group = ["--group", f"FILE:{path}"]
+        for args in (
+            ["analyze", *group],
+            ["verify", "comp22", *group, "--subgroup", "stab:1"],
+            ["scan", *group, "--out", str(tmp_path / "scan.json")],
+        ):
+            code, _, err = run_cli(args, capsys)
+            assert code == 2, args
+            assert err.startswith("error:") and str(path) in err, err
+    assert not (tmp_path / "scan.json").exists()
+
+
+def test_a_spec_with_no_family_names_the_spec(capsys):
+    # PROD takes its factors in parentheses; PROD:3 once failed on an empty
+    # product ("group degree must be >= 1")
+    for spec in ("PROD:3", "X:4"):
+        code, _, err = run_cli(["analyze", "--group", spec], capsys)
+        assert code == 2 and f"'{spec}'" in err, err
+
+
 def test_human_and_json_verdicts_agree(capsys):
     code1, human, _ = run_cli(
         ["verify", "hall", "--group", "AGL1:7", "--subgroup", "stab:1"], capsys

@@ -8,7 +8,7 @@ import pytest
 
 from normlab import subgroups as subgroups_module
 from normlab.arith import primes_dividing
-from normlab.catalog import build, default_sweep, parse_spec
+from normlab.catalog import build, default_sweep, parse_spec, select_subgroup
 from normlab.errors import AmbientMismatch, OrderTooLarge
 from normlab.group import Group
 from normlab.limits import Limits, get_limits, using_limits
@@ -128,7 +128,8 @@ def test_normal_closure_of_trivial(s4):
 def test_normal_closure_of_the_whole_order_is_the_ambient_group():
     # PSL2:31 is simple, so an involution's closure is the whole group; it is
     # returned as the ambient object itself, whose caches it then shares
-    G, P = build(parse_spec("PSL2:31", selector="syl:2"))
+    G = build(parse_spec("PSL2:31"))[0]
+    P = select_subgroup(G, "syl:2")
     z = next(x for x in P.carrier.sorted_element_stream() if order_of_tuple(x) == 2)
     N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, (z,))))
     assert N.carrier is G

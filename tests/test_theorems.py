@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec, select_subgroup
-from normlab.errors import DoesNotNormalize
+from normlab.errors import DoesNotNormalize, InvalidParameter
 from normlab.limits import Limits, get_limits, using_limits
 from normlab.perm import perm_from_cycles
 from normlab.structure import fitting_subgroup, is_abelian, p_core, sylow_subgroup
@@ -113,6 +113,19 @@ def test_maxnorm_modes_differ_where_expected():
     ctx = maximal_normalizer_context(G, a4_like)
     assert not ctx.result(MODE_FIT_NORMAL).passed
     assert ctx.result(MODE_H_NORMAL).passed
+
+
+def test_an_unknown_mode_is_refused(s4):
+    # an unknown mode was once evaluated as h-normal by the verifiers, and
+    # is_maximal_normalizer refused it with a bare ValueError
+    H = _stab(s4, 4)
+    for verify in (verify_comp22, verify_hall_lemma, verify_rem23, verify_simp):
+        with pytest.raises(InvalidParameter, match="bogus"):
+            verify(s4, H, mode="bogus")
+    with pytest.raises(InvalidParameter, match="bogus"):
+        is_maximal_normalizer(s4, H, "bogus")
+    with pytest.raises(InvalidParameter, match="bogus"):
+        maximal_normalizer_context(s4, H).result("bogus")
 
 
 # -- Frobenius products ----------------------------------------------------------------
@@ -298,7 +311,8 @@ def test_comp22_s4_sylow2(s4):
 
 def test_comp22_agl_family():
     for p in (5, 7, 11, 13):
-        G, H = build(parse_spec(f"AGL1:{p}", selector="stab:1"))
+        G = build(parse_spec(f"AGL1:{p}"))[0]
+        H = select_subgroup(G, "stab:1")
         report = verify_comp22(G, H)
         assert report.status == "confirmed", p
 
@@ -323,7 +337,8 @@ def test_hall_lemma_s4_s3_not_nilpotent(s4):
 
 
 def test_hall_lemma_agl7():
-    G, H = build(parse_spec("AGL1:7", selector="stab:1"))
+    G = build(parse_spec("AGL1:7"))[0]
+    H = select_subgroup(G, "stab:1")
     report = verify_hall_lemma(G, H)
     assert report.status == "confirmed"
     hall_check = next(c for c in report.conclusion_checks if c.name == "image-is-hall-subgroup")
@@ -457,7 +472,8 @@ def test_thompson_with_fixed_point(s4):
 
 def test_burnside_complements():
     for spec, expect_cyclic_order in (("AGL1:5", 4), ("AGL1:7", 6)):
-        G, H = build(parse_spec(spec, selector="stab:1"))
+        G = build(parse_spec(spec))[0]
+        H = select_subgroup(G, "stab:1")
         assert H.order() == expect_cyclic_order
         report = verify_burnside_complement(H, "test attestation")
         assert report.status == "confirmed"
