@@ -18,7 +18,7 @@ from dataclasses import replace
 
 from . import __version__
 from .catalog import build, default_sweep, parse_spec, select_subgroup
-from .errors import InvariantViolated, NormlabError, OrderTooLarge, UnknownTheorem
+from .errors import InvalidParameter, InvariantViolated, NormlabError, OrderTooLarge, UnknownTheorem
 from .limits import limits_from_env, parse_enum_bound, set_limits
 from .scan import THEOREM_NAMES, VERIFIERS, scan, skip_report
 from .structure import (
@@ -36,6 +36,7 @@ from .subgroups import (
 from .theorems import (
     MODE_FIT_NORMAL,
     MODES,
+    check_mode,
     frobenius_decomposition,
     is_frobenius_product,
     verify_burnside_complement,
@@ -166,12 +167,8 @@ def cmd_analyze(args, argv: list[str]) -> int:
 
 
 def _parse_mode(raw: str) -> str:
-    value = raw
-    if raw.startswith("def21="):
-        value = raw.split("=", 1)[1]
-    if value not in MODES:
-        raise NormlabError(f"unknown mode {raw!r}; expected def21=fit-normal or def21=h-normal")
-    return value
+    """A --mode value without its def21= prefix; the library checks the rest."""
+    return raw.removeprefix("def21=")
 
 
 def cmd_verify(args, argv: list[str]) -> int:
@@ -179,7 +176,13 @@ def cmd_verify(args, argv: list[str]) -> int:
     theorem = args.theorem
     if theorem not in VERIFY_THEOREMS:
         raise UnknownTheorem(f"unknown theorem {theorem!r}; pick from {', '.join(VERIFY_THEOREMS)}")
-    mode = _parse_mode(args.mode) if args.mode else MODE_FIT_NORMAL
+    mode = None
+    if theorem in VERIFIERS:
+        mode = _parse_mode(args.mode) if args.mode else MODE_FIT_NORMAL
+        # before the pair is built: a subgroup selector can meet a bound
+        check_mode(mode)
+    elif args.mode:
+        raise InvalidParameter(f"--mode applies to {', '.join(THEOREM_NAMES)} only, not {theorem}")
     spec = parse_spec(args.group)
     G, H = build(spec)
     if H is None and not args.subgroup:
@@ -202,9 +205,9 @@ def cmd_verify(args, argv: list[str]) -> int:
             attestation = (
                 f"verified complement of kernel of order {K.order()}"
                 if frob.passed
-                else f"attested by invocation (frobenius check: {frob.reason or 'failed'})"
+                else f"frobenius check: {frob.reason}"
             )
-            report = verify_burnside_complement(H, attestation)
+            report = verify_burnside_complement(H, attestation, attested=frob.passed)
     except OrderTooLarge as exc:
         subject = {"group": str(spec), "group_order": G.order()}
         report = skip_report(theorem, subject, str(exc), mode)

@@ -2,8 +2,8 @@
 
 Operations that would exceed a bound raise ``OrderTooLarge`` (its subclass
 ``IndexTooLarge`` for coset actions) instead of silently degrading.
-The active limits are process-global; scan workers run in separate
-processes and install their own copy.
+The active limits are process-global; scan workers are forked, so they
+inherit the caller's limits.
 """
 
 from __future__ import annotations

@@ -2,8 +2,9 @@
 verifiers on every hit, exercise Frobenius decompositions, and run the
 classical p-nilpotence / factorization property suite on small groups.
 
-Scan items are independent; with jobs > 1 they run in worker processes and
-the merged output is sorted, so reports do not depend on the worker count.
+Scan items are independent; with jobs > 1 they run in forked worker
+processes, which inherit the caller's limits, and the merged output is
+sorted, so reports do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -13,10 +14,9 @@ from copy import deepcopy
 from dataclasses import replace
 
 from .arith import is_prime, p_part, primes_dividing
-from .catalog import GroupSpec, build, parse_spec
+from .catalog import GroupSpec, build
 from .errors import InvalidParameter, OrderTooLarge, UnknownTheorem
 from .group import Group
-from .limits import get_limits, set_limits
 from .perm import compose_tuples
 from .structure import (
     fitting_length,
@@ -347,11 +347,10 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
 # -- the scan driver ---------------------------------------------------------------
 
 
-def _scan_worker(args) -> tuple[list[dict], dict]:
-    spec_str, theorems, modes, intro, limits = args
-    set_limits(limits)
-    reports, stats = scan_group(parse_spec(spec_str), theorems, modes, intro)
-    return [r.to_dict() for r in reports], stats
+def _scan_worker(args) -> tuple[list[VerdictReport], dict]:
+    """A pool task. perfbench's tracer wraps it by name to collect a forked
+    worker's spans, so the serial path calls scan_group directly."""
+    return scan_group(*args)
 
 
 def summarize(reports: list[VerdictReport], stats: dict) -> dict:
@@ -390,17 +389,13 @@ def scan(
         if max_order is None or order <= max_order:
             sized.append((order, spec))
     sized.sort(key=lambda item: -item[0])
-    selected = [spec for _, spec in sized]
+    tasks = [(spec, theorems, modes, intro) for _, spec in sized]
 
-    if jobs == 1 or len(selected) <= 1:
-        results = [scan_group(spec, theorems, modes, intro) for spec in selected]
+    if jobs == 1 or len(tasks) <= 1:
+        results = [scan_group(*task) for task in tasks]
     else:
-        args = [(str(spec), theorems, modes, intro, get_limits()) for spec in selected]
-        with multiprocessing.get_context("fork").Pool(min(jobs, len(selected))) as pool:
-            results = [
-                ([VerdictReport.from_dict(d) for d in dicts], stats)
-                for dicts, stats in pool.map(_scan_worker, args, chunksize=1)
-            ]
+        with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
+            results = pool.map(_scan_worker, tasks, chunksize=1)
 
     all_reports: list[VerdictReport] = []
     totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}

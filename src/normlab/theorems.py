@@ -200,6 +200,7 @@ def is_maximal_normalizer(
     mode selects what "normal" quantifies over: normal in Fit(H/C)
     (fit-normal, the default) or normal in H/C itself (h-normal).
     """
+    check_mode(mode)
     if context is None:
         context = maximal_normalizer_context(G, H)
     return context.result(mode)
@@ -362,8 +363,10 @@ def _nilpotent_check(H: Subgroup) -> Check:
 def _open(
     theorem: str, G: Group, H: Subgroup, mode: str, context: MaxNormContext | None
 ) -> tuple[float, VerdictReport, MaxNormContext, MaximalNormalizerResult]:
-    """The pair verifiers' first step: the start time, the report with its
-    subject, and the pair's context (built unless given) with its result."""
+    """The pair verifiers' first step: the mode's check, the start time, the
+    report with its subject, and the pair's context (built unless given)
+    with its result."""
+    check_mode(mode)
     started = time.perf_counter()
     subject = {"group_order": G.order(), "subgroup": fingerprint(H), "subgroup_order": H.order()}
     report = VerdictReport(theorem, subject, mode=mode)
@@ -654,10 +657,13 @@ def verify_thompson(K: Subgroup, Phi: Subgroup, ambient: Group) -> VerdictReport
     return _finish(report, started)
 
 
-def verify_burnside_complement(H: Subgroup, attestation: str = "caller") -> VerdictReport:
+def verify_burnside_complement(
+    H: Subgroup, attestation: str = "caller", attested: bool = True
+) -> VerdictReport:
     """Structure of a Frobenius complement: cyclic when its order is a product
     of two primes; cyclic Sylow subgroups at odd primes; cyclic or generalized
-    quaternion Sylow 2-subgroup.
+    quaternion Sylow 2-subgroup. The hypothesis, that H is a Frobenius
+    complement, is the caller's: attested says whether it holds, attestation why.
     """
     started = time.perf_counter()
     report = VerdictReport(
@@ -665,8 +671,10 @@ def verify_burnside_complement(H: Subgroup, attestation: str = "caller") -> Verd
         {"subgroup": fingerprint(H), "subgroup_order": H.order()},
     )
     report.hypothesis_checks = [
-        Check("complement-attested", True, attestation),
+        Check("complement-attested", attested, attestation),
     ]
+    if not attested:
+        return _finish(report, started)
     n = H.order()
     fact = factorize(n)
     if sum(fact.values()) == 2:

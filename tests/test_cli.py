@@ -155,6 +155,73 @@ def test_verify_mode_flag(capsys):
     assert "h-normal" in out
 
 
+def test_an_unknown_mode_is_a_usage_error(tmp_path, capsys):
+    # refused before the pair is built: selecting syl:2 in S:10 meets the
+    # enumeration bound, which would give a skip report with exit 4
+    out_path = tmp_path / "report.json"
+    for argv in (
+        ["verify", "comp22", "--group", "S:4", "--subgroup", "stab:4", "--mode", "bogus"],
+        ["verify", "hall", "--group", "S:10", "--subgroup", "syl:2", "--mode", "def21=bogus"],
+        ["scan", "--group", "S:4", "--mode", "def21=bogus"],
+    ):
+        code, out, err = run_cli([*argv, "--out", str(out_path)], capsys)
+        assert code == 2 and "unknown mode 'bogus'" in err
+        assert out == "" and not out_path.exists()
+
+
+def test_verify_thompson_confirmed(capsys):
+    code, out, _ = run_cli(
+        ["verify", "thompson", "--group", "AGL1:7", "--subgroup", "syl:3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "confirmed" and report["mode"] is None
+
+
+def test_verify_burnside_confirmed(capsys):
+    code, out, _ = run_cli(
+        ["verify", "burnside", "--group", "AGL1:7", "--subgroup", "syl:3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "confirmed" and report["mode"] is None
+
+
+def test_verify_burnside_on_a_non_complement_is_not_a_counterexample(capsys):
+    # a Sylow 2-subgroup of S:4 contains Fit(S:4), so it is no Frobenius
+    # complement; its failed check was once reported only as the witness of
+    # a passing hypothesis, and the pair counted as a counterexample
+    code, out, _ = run_cli(
+        ["verify", "burnside", "--group", "S:4", "--subgroup", "syl:2", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    assert report["status"] == "hypotheses-not-met"
+    assert report["hypothesis_checks"] == [{
+        "name": "complement-attested",
+        "passed": False,
+        "witness": "frobenius check: kernel meets complement",
+    }]
+    assert report["conclusion_checks"] == []
+
+
+def test_thompson_and_burnside_take_no_mode(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    for theorem in ("thompson", "burnside"):
+        argv = ["verify", theorem, "--group", "AGL1:7", "--subgroup", "syl:3"]
+        code, out, err = run_cli([*argv, "--mode", "fit-normal", "--out", str(out_path)], capsys)
+        assert code == 2 and "--mode" in err
+        assert out == "" and not out_path.exists()
+        # a skip report carries no mode either, like a completed report
+        code, out, _ = run_cli([*argv, "--enum-bound", "3", "--format", "json"], capsys)
+        assert code == 4
+        (report,) = json.loads(out)["reports"]
+        assert report["status"] == "skipped-too-large" and report["mode"] is None
+
+
 def test_verify_unknown_theorem(capsys):
     code, _, err = run_cli(
         ["verify", "nosuch", "--group", "S:4", "--subgroup", "syl:2"], capsys

@@ -8,7 +8,7 @@ import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import InvalidParameter, NotNormal, OrderTooLarge, UnknownTheorem
-from normlab.limits import get_limits
+from normlab.limits import Limits, get_limits, using_limits
 from normlab.scan import INTRO_BOUND, VERIFIERS, intro_suite, scan, scan_group
 from normlab.subgroups import (
     enumerate_subgroups,
@@ -75,6 +75,18 @@ def test_scan_deterministic_across_workers():
     assert sum1 == sum2
 
 
+def test_scan_workers_inherit_the_callers_limits():
+    # the pool is forked and ships no limits: a bound set by the caller
+    # must reach the workers. PSL2:13 (order 1092) is over this bound, so a
+    # worker on the default bound would scan it instead of skipping it
+    specs = [parse_spec(s) for s in ("PSL2:13", "S:4", "A:4")]
+    with using_limits(Limits(subgroup_bound=1000)):
+        seq, serial_summary = scan(specs, jobs=1, intro=False)
+        par, summary = scan(specs, jobs=2, intro=False)
+    assert serial_summary["groups_skipped"] == 1
+    assert _scrub(par) == _scrub(seq) and summary == serial_summary
+
+
 def test_scan_rejects_fewer_than_one_job():
     for jobs in (0, -2):
         with pytest.raises(InvalidParameter):
@@ -98,7 +110,7 @@ def test_scan_pool_is_capped_at_the_group_count(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=None):
-            dispatched.append(([item[0] for item in items], chunksize))
+            dispatched.append(([str(item[0]) for item in items], chunksize))
             return [fn(item) for item in items]
 
     class Context:

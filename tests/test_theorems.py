@@ -115,7 +115,7 @@ def test_maxnorm_modes_differ_where_expected():
     assert ctx.result(MODE_H_NORMAL).passed
 
 
-def test_an_unknown_mode_is_refused(s4):
+def test_an_unknown_mode_is_refused(s4, monkeypatch):
     # an unknown mode was once evaluated as h-normal by the verifiers, and
     # is_maximal_normalizer refused it with a bare ValueError
     H = _stab(s4, 4)
@@ -126,6 +126,20 @@ def test_an_unknown_mode_is_refused(s4):
         is_maximal_normalizer(s4, H, "bogus")
     with pytest.raises(InvalidParameter, match="bogus"):
         maximal_normalizer_context(s4, H).result("bogus")
+
+    # and it is refused before the pair's context is built: the mode was
+    # once checked only after the whole context of (S:10, stab:1)
+    import normlab.theorems as theorems_module
+
+    def no_context(G, H):
+        raise AssertionError("context built")
+
+    monkeypatch.setattr(theorems_module, "maximal_normalizer_context", no_context)
+    for verify in (verify_comp22, verify_hall_lemma, verify_rem23, verify_simp):
+        with pytest.raises(InvalidParameter, match="bogus"):
+            verify(s4, H, mode="bogus")
+    with pytest.raises(InvalidParameter, match="bogus"):
+        is_maximal_normalizer(s4, H, "bogus")
 
 
 # -- Frobenius products ----------------------------------------------------------------
