@@ -4,22 +4,11 @@ from __future__ import annotations
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
+    """Prime factorization of n >= 1 as {prime: exponent}; {} for n < 2."""
     out: dict[int, int] = {}
     d = 2
     while d * d <= n:
@@ -38,11 +27,7 @@ def primes_dividing(n: int) -> list[int]:
 
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
-    out = 1
-    while n % p == 0:
-        out *= p
-        n //= p
-    return out
+    return p ** p_valuation(n, p)
 
 
 def p_valuation(n: int, p: int) -> int:

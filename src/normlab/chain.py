@@ -130,6 +130,23 @@ def _complete(levels: list[_Level], ident: Images) -> None:
         i = i - 1 if stuck is None else stuck
 
 
+def _grow(levels: list[_Level], ident: Images, gens: Iterable[Images]) -> bool:
+    """Sift each generator and keep what is left of one that does not sift
+    to the identity; then complete the levels if one was kept. True when the
+    levels changed."""
+    changed = False
+    for g in gens:
+        if g == ident:
+            continue
+        r, j = _sift_from(levels, g, 0)
+        if r != ident:
+            _add_strong_generator(levels, ident, r, j)
+            changed = True
+    if changed:
+        _complete(levels, ident)
+    return changed
+
+
 class StabilizerChain:
     """Base, strong generators, and transversals for a permutation group."""
 
@@ -204,31 +221,15 @@ class StabilizerChain:
     def extended(self, new_gens: Iterable[Images]) -> "StabilizerChain":
         """A new chain for the group generated by this one plus new_gens."""
         levels = [lvl.copy() for lvl in self.levels]
-        ident = self.ident
-        changed = False
-        for g in new_gens:
-            if g == ident:
-                continue
-            r, j = _sift_from(levels, g, 0)
-            if r != ident:
-                _add_strong_generator(levels, ident, r, j)
-                changed = True
-        if not changed:
+        if not _grow(levels, self.ident, new_gens):
             return self
-        _complete(levels, ident)
-        return StabilizerChain(self.degree, levels, ident)
+        return StabilizerChain(self.degree, levels, self.ident)
 
 
 def build_chain(degree: int, generators: Sequence[Images]) -> StabilizerChain:
     ident = identity_tuple(degree)
     levels: list[_Level] = []
-    for g in generators:
-        if g == ident:
-            continue
-        r, j = _sift_from(levels, g, 0)
-        if r != ident:
-            _add_strong_generator(levels, ident, r, j)
-    _complete(levels, ident)
+    _grow(levels, ident, generators)
     chain = StabilizerChain(degree, levels, ident)
     if not all(chain.contains(g) for g in generators):
         raise InvariantViolated("stabilizer chain misses one of its generators")

@@ -212,6 +212,7 @@ def cmd_verify(args, argv: list[str]) -> int:
         subject = {"group": str(spec), "group_order": G.order()}
         report = skip_report(theorem, subject, str(exc), mode)
     report.subject.setdefault("group", str(spec))
+    report.subject.setdefault("group_order", G.order())
     elapsed = time.perf_counter() - started
     doc = report_document(argv, [report], {}, elapsed)
     _emit(doc, args.format, args.out, _render_report(report))

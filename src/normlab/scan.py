@@ -215,6 +215,10 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
     rep_of = {S: cls.representative for cls in classes for S in cls.members}
     out: list[VerdictReport] = []
     subject = {"group": gname, "group_order": G.order()}
+
+    def add(theorem: str, checks: list[Check]) -> None:
+        out.append(VerdictReport(theorem, dict(subject), [], checks).finalize())
+
     primes = primes_dividing(G.order())
 
     # central Sylow subgroups force p-nilpotence
@@ -234,7 +238,7 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
             checks.append(
                 Check(f"p={p}", ok, "" if ok else "central Sylow without a normal complement")
             )
-    out.append(VerdictReport("intro-burnside", dict(subject), [], checks).finalize())
+    add("intro-burnside", checks)
 
     # Thompson's normal p-complement criterion (odd primes)
     checks = []
@@ -252,7 +256,7 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
             )
         else:
             checks.append(Check(f"p={p}", True, "antecedent not satisfied"))
-    out.append(VerdictReport("intro-thompson64", dict(subject), [], checks).finalize())
+    add("intro-thompson64", checks)
 
     # p-nilpotent iff N(Q)/C(Q) is a p-group for every non-trivial p-subgroup Q
     ratios: dict[Subgroup, int] = {}  # class representative -> |N(Q)/C(Q)|
@@ -280,7 +284,7 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
                 witness or f"{p}-nilpotent={lhs}, criterion={rhs}",
             )
         )
-    out.append(VerdictReport("intro-frobenius", dict(subject), [], checks).finalize())
+    add("intro-frobenius", checks)
 
     # nilpotent-by-nilpotent factorizations: solvability and Fitting length
     nilpotent = {R: is_nilpotent(R.carrier) for R, _ in classes}
@@ -305,14 +309,9 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
         kw_ok = False
         i, j = factorizations[0]
         kw_witness = f"{fingerprint(subs[i])} * {fingerprint(subs[j])} = G, G non-solvable"
-    out.append(
-        VerdictReport(
-            "intro-kegel-wielandt",
-            dict(subject),
-            [],
-            [Check("factorizations-solvable", kw_ok, kw_witness or f"{len(factorizations)} factorization(s)")],
-        ).finalize()
-    )
+    add("intro-kegel-wielandt", [
+        Check("factorizations-solvable", kw_ok, kw_witness or f"{len(factorizations)} factorization(s)")
+    ])
 
     gross_ok = True
     gross_witness = ""
@@ -327,20 +326,9 @@ def intro_suite(G: Group, gname: str) -> list[VerdictReport]:
                     f"{fingerprint(subs[i])} * {fingerprint(subs[j])}"
                 )
                 break
-    out.append(
-        VerdictReport(
-            "intro-gross",
-            dict(subject),
-            [],
-            [
-                Check(
-                    "fitting-length-bounded",
-                    gross_ok,
-                    gross_witness or f"{len(factorizations)} factorization(s)",
-                )
-            ],
-        ).finalize()
-    )
+    add("intro-gross", [
+        Check("fitting-length-bounded", gross_ok, gross_witness or f"{len(factorizations)} factorization(s)")
+    ])
     return out
 
 

@@ -1,6 +1,6 @@
 """Structural invariants: series, solvability, nilpotency, p-cores, the
 Fitting subgroup and Fitting length, Sylow and Hall subgroups, quotients,
-p-nilpotence, the Thompson subgroup, and cyclic/quaternion recognition.
+p-nilpotence, the Thompson subgroup, cyclic/dihedral/quaternion recognition.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "is_p_nilpotent",
     "thompson_subgroup",
     "is_cyclic",
+    "is_dihedral_2group",
     "is_generalized_quaternion",
 ]
 
@@ -334,6 +335,26 @@ def thompson_subgroup(P: Group) -> Subgroup:
 def is_cyclic(G: Group) -> bool:
     n = G.order()
     return any(order_of_tuple(t) == n for t in G.element_tuples())
+
+
+def is_dihedral_2group(P: Group) -> tuple[bool, bool]:
+    """(is dihedral, is the degenerate Klein case) for a 2-group.
+
+    Dihedral means a cyclic subgroup of index 2 plus generation by
+    involutions; the Klein four-group is accepted as the degenerate case.
+    """
+    n = P.order()
+    if n < 4 or p_part(n, 2) != n:
+        return False, False
+    orders = {t: order_of_tuple(t) for t in P.element_tuples()}
+    if n == 4:
+        if all(m <= 2 for m in orders.values()):
+            return True, True  # Klein four-group
+        return False, False
+    if n // 2 not in orders.values():
+        return False, False
+    involutions = [t for t, m in orders.items() if m == 2]
+    return Group.from_generator_tuples(P.degree, involutions).order() == n, False
 
 
 def is_generalized_quaternion(P: Group) -> bool:

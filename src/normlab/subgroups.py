@@ -40,6 +40,7 @@ __all__ = [
     "center",
     "normalizer",
     "is_normal",
+    "non_normalizing_generator",
     "SubgroupClass",
     "enumerate_subgroups",
     "subgroup_classes",
@@ -232,14 +233,20 @@ def center(G: Group) -> Subgroup:
     return G.cached("center", lambda: centralizer(G, whole(G)))
 
 
+def non_normalizing_generator(actors: Group, H: Group) -> tuple[int, ...] | None:
+    """The first generator of actors that conjugates some generator of H out
+    of H, or None when actors normalizes H."""
+    for g in actors.generator_tuples:
+        for h in H.generator_tuples:
+            if not H.contains_tuple(conjugate_tuple(h, g)):
+                return g
+    return None
+
+
 def is_normal(ambient: Group, H: Subgroup) -> bool:
     """True when conjugation by every ambient generator preserves H."""
     _check_ambient(ambient, H)
-    return all(
-        H.carrier.contains_tuple(conjugate_tuple(h, g))
-        for h in H.carrier.generator_tuples
-        for g in ambient.generator_tuples
-    )
+    return non_normalizing_generator(ambient, H.carrier) is None
 
 
 # -- normalizer ---------------------------------------------------------------
@@ -353,14 +360,17 @@ def subgroup_classes(G: Group) -> list[SubgroupClass]:
     return _lattice(G)[1]
 
 
+def _check_subgroup_bound(G: Group) -> None:
+    """OrderTooLarge when G is above the bound for enumerating its subgroups."""
+    bound = get_limits().subgroup_bound
+    if G.order() > bound:
+        raise OrderTooLarge(f"subgroup enumeration needs order <= {bound}")
+
+
 def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
     def compute():
-        limits = get_limits()
+        _check_subgroup_bound(G)
         n = G.order()
-        if n > limits.subgroup_bound:
-            raise OrderTooLarge(
-                f"subgroup enumeration needs order <= {limits.subgroup_bound}"
-            )
         degree = G.degree
         ident = identity_tuple(degree)
         full = G.element_tuples()

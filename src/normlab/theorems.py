@@ -13,16 +13,15 @@ from dataclasses import dataclass, field, replace
 from math import prod
 
 from .arith import factorize, is_prime, p_part, psl2_parameter
-from .closure import mulclose
 from .errors import DoesNotNormalize, InvalidParameter, OrderTooLarge
 from .group import Group
-from .limits import get_limits
-from .perm import Perm, compose_tuples, conjugate_tuple, format_perm, identity_tuple, order_of_tuple
+from .perm import Perm, compose_tuples, format_perm, identity_tuple
 from .structure import (
     derived_series,
     fitting_subgroup,
     is_abelian,
     is_cyclic,
+    is_dihedral_2group,
     is_generalized_quaternion,
     is_hall,
     is_nilpotent,
@@ -33,6 +32,7 @@ from .structure import (
 )
 from .subgroups import (
     Subgroup,
+    _check_subgroup_bound,
     center,
     core,
     enumerate_subgroups,
@@ -41,6 +41,7 @@ from .subgroups import (
     is_normal,
     is_simple,
     minimal_normal_subgroups,
+    non_normalizing_generator,
     normalizer,
     subgroup_le,
     subgroups_equal,
@@ -236,7 +237,7 @@ def is_frobenius_product(G: Group, K: Subgroup, H: Subgroup) -> FrobeniusProduct
         )
     meet = intersection(G, K, H)
     n = K.order() * H.order() // meet.order()
-    if _non_normalizing_generator(K, H) is not None:
+    if non_normalizing_generator(H.carrier, K.carrier) is not None:
         return FrobeniusProductResult(False, n, "kernel is not normal in the product")
     if meet.order() != 1:
         return FrobeniusProductResult(False, n, "kernel meets complement", fingerprint(meet))
@@ -244,16 +245,6 @@ def is_frobenius_product(G: Group, K: Subgroup, H: Subgroup) -> FrobeniusProduct
     if pair is not None:
         return FrobeniusProductResult(False, n, "fixed point", "{} centralizes {}".format(*pair))
     return FrobeniusProductResult(True, n)
-
-
-def _non_normalizing_generator(K: Subgroup, H: Subgroup) -> tuple[int, ...] | None:
-    """The first generator of H that conjugates some generator of K out of K,
-    or None when H normalizes K."""
-    for h in H.carrier.generator_tuples:
-        for k in K.carrier.generator_tuples:
-            if not K.carrier.contains_tuple(conjugate_tuple(k, h)):
-                return h
-    return None
 
 
 def _commuting_pair(A: Subgroup, B: Subgroup) -> tuple[str, str] | None:
@@ -288,9 +279,7 @@ def frobenius_decomposition(G: Group) -> FrobeniusDecomposition | None:
     if center(G).order() > 1:
         # Frobenius groups have trivial centre
         return None
-    bound = get_limits().subgroup_bound
-    if n > bound:
-        raise OrderTooLarge(f"subgroup enumeration needs order <= {bound}")
+    _check_subgroup_bound(G)
     K = fitting_subgroup(G)
     if K.order() == 1:
         return None
@@ -307,7 +296,7 @@ def fixed_point_free(K: Subgroup, Phi: Subgroup) -> tuple[bool, str]:
     Phi must normalize K (it acts on K by conjugation); otherwise
     DoesNotNormalize is raised.
     """
-    ph = _non_normalizing_generator(K, Phi)
+    ph = non_normalizing_generator(Phi.carrier, K.carrier)
     if ph is not None:
         raise DoesNotNormalize(
             f"{format_perm(Perm(ph, _checked=True))} does not normalize the acted-on subgroup"
@@ -316,28 +305,6 @@ def fixed_point_free(K: Subgroup, Phi: Subgroup) -> tuple[bool, str]:
     if pair is not None:
         return False, "{} fixes {}".format(*pair)
     return True, ""
-
-
-def is_dihedral_2group(P: Group) -> tuple[bool, bool]:
-    """(is dihedral, is the degenerate Klein case) for a 2-group.
-
-    Dihedral means a cyclic subgroup of index 2 plus generation by
-    involutions; the Klein four-group is accepted as the degenerate case.
-    """
-    n = P.order()
-    if n < 4 or p_part(n, 2) != n:
-        return False, False
-    orders = {t: order_of_tuple(t) for t in P.element_tuples()}
-    if n == 4:
-        if all(m <= 2 for m in orders.values()):
-            return True, True  # Klein four-group
-        return False, False
-    has_index2_cyclic = n // 2 in orders.values()
-    if not has_index2_cyclic:
-        return False, False
-    involutions = [t for t, m in orders.items() if m == 2]
-    closed = mulclose(P.degree, involutions)
-    return (len(closed) == n), False
 
 
 # -- theorem verifiers -----------------------------------------------------------

@@ -26,7 +26,7 @@ def status_counts(reports: list[VerdictReport], statuses: tuple[str, ...] = ()) 
     return counts
 
 
-@dataclass
+@dataclass(slots=True)
 class Check:
     """One named pass/fail with enough witness data to replay a failure."""
 
@@ -42,7 +42,7 @@ class Check:
         return cls(d["name"], d["passed"], d.get("witness", ""))
 
 
-@dataclass
+@dataclass(slots=True)
 class VerdictReport:
     """Outcome of running one verifier on one subject."""
 

@@ -95,6 +95,23 @@ def brute_order(gens: list[Perm], degree: int) -> int:
     return len(mulclose(gens, degree))
 
 
+def dihedral_2group_by_closure(P: Group) -> tuple[bool, bool]:
+    """(is dihedral, is the Klein four-group) for a 2-group: the library's
+    test, with P's elements and the order of the subgroup its involutions
+    generate read from exhaustive closures instead of a stabilizer chain."""
+    elements = mulclose(list(P.generators), P.degree)
+    n = len(elements)
+    if n < 4 or p_part(n, 2) != n:
+        return False, False
+    orders = [g.order() for g in elements]
+    if n == 4:
+        return (True, True) if max(orders) <= 2 else (False, False)
+    if n // 2 not in orders:
+        return False, False
+    involutions = [g for g, m in zip(elements, orders) if m == 2]
+    return brute_order(involutions, P.degree) == n, False
+
+
 def brute_subgroups_subset_scan(elements: set[Perm]) -> list[frozenset[Perm]]:
     """All subgroups by scanning every element subset; only for tiny groups."""
     elems = sorted(elements)

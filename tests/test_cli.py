@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from normlab.catalog import parse_spec
 from normlab.cli import main
 from normlab.group import Group
+from normlab.scan import scan_group
 
 
 def run_cli(args, capsys):
@@ -187,6 +189,18 @@ def test_verify_burnside_confirmed(capsys):
     assert code == 0
     (report,) = json.loads(out)["reports"]
     assert report["status"] == "confirmed" and report["mode"] is None
+
+
+def test_verify_burnside_subject_has_the_scan_subject_keys(capsys):
+    code, out, _ = run_cli(
+        ["verify", "burnside", "--group", "AGL1:7", "--subgroup", "syl:3", "--format", "json"],
+        capsys,
+    )
+    assert code == 0
+    (report,) = json.loads(out)["reports"]
+    scanned = [r for r in scan_group(parse_spec("AGL1:7"), intro=False)[0] if r.theorem == "burnside"]
+    assert scanned and set(report["subject"]) == set(scanned[0].subject)
+    assert report["subject"]["group_order"] == 42
 
 
 def test_verify_burnside_on_a_non_complement_is_not_a_counterexample(capsys):

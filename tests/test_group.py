@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 from itertools import islice, permutations
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +229,21 @@ def test_every_default_chain_has_an_ascending_base():
     assert _walks_sorted(N.carrier.chain)
     oracle = sorted(p.images for p in mulclose(list(N.generators), 8))
     assert list(N.carrier.sorted_element_stream()) == oracle
+
+
+def test_build_chain_matches_growth_from_the_empty_chain():
+    # a chain built from the generators at once and one grown from the
+    # empty chain by ``extended`` agree level by level: the same base, strong
+    # generators and transversal points, met in the same order
+    frobenius = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
+    for spec in [*default_sweep(), parse_spec(f"FILE:{frobenius}")]:
+        G, _ = build(spec)
+        built = build_chain(G.degree, G.generator_tuples)
+        grown = build_chain(G.degree, ()).extended(G.generator_tuples)
+        assert [(lvl.base, lvl.gens, list(lvl.transversal)) for lvl in built.levels] == [
+            (lvl.base, lvl.gens, list(lvl.transversal)) for lvl in grown.levels
+        ], str(spec)
+        assert built.order() == grown.order() == G.order(), str(spec)
 
 
 def test_sorted_element_stream_walks_the_one_chain(monkeypatch):

@@ -8,6 +8,7 @@ import pytest
 from normlab.arith import p_part, primes_dividing
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import InvalidPrime, NotNilpotent, NotNormal, NotPGroup, NotSolvable
+from normlab.limits import get_limits
 from normlab.perm import perm_from_cycles
 from normlab.structure import (
     derived_series,
@@ -15,6 +16,7 @@ from normlab.structure import (
     fitting_subgroup,
     is_abelian,
     is_cyclic,
+    is_dihedral_2group,
     is_generalized_quaternion,
     is_hall,
     is_nilpotent,
@@ -30,6 +32,7 @@ from normlab.structure import (
 from normlab.subgroups import (
     Subgroup,
     enumerate_subgroups,
+    fingerprint,
     is_normal,
     subgroup,
     subgroups_equal,
@@ -37,7 +40,7 @@ from normlab.subgroups import (
     whole,
 )
 
-from oracles import conj, normalizer_sylow
+from oracles import conj, dihedral_2group_by_closure, normalizer_sylow
 
 
 # -- series and solvability -----------------------------------------------------
@@ -363,3 +366,22 @@ def test_generalized_quaternion(q8, d4):
     assert not is_generalized_quaternion(C8)
     with pytest.raises(NotPGroup):
         is_generalized_quaternion(build(parse_spec("S:3"))[0])
+
+
+def test_dihedral_recognition_matches_closure_oracle():
+    # every 2-subgroup of every default-sweep lattice; the oracle reads the
+    # order of the involutions' subgroup from a closure, the library from a chain
+    verdicts = set()
+    for spec in default_sweep():
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        for S in enumerate_subgroups(G):
+            n = S.order()
+            if n != p_part(n, 2):
+                continue
+            got = is_dihedral_2group(S.carrier)
+            assert got == dihedral_2group_by_closure(S.carrier), (str(spec), fingerprint(S))
+            verdicts.add((n >= 8, got))
+    # dihedral and non-dihedral groups of order at least 8, and the Klein case
+    assert {(True, (True, False)), (True, (False, False)), (False, (True, True))} <= verdicts
