@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import random
 from collections import Counter
 from pathlib import Path
@@ -413,6 +414,34 @@ def test_subgroup_lattice_matches_every_cyclic_join_reference():
         got = [S.carrier.element_tuples() for S in subs]
         assert len(set(got)) == len(got), name
         assert set(got) == lattice_by_cyclic_joins(G), name
+
+
+# sha256 of the lattices below, recorded when joins grew element sets by
+# Dimino steps: a faster lattice must give the same subgroups in the same
+# order and the same classes, members and generator tuples
+LATTICE_PIN = "d58fcb46b45bf00bf647cf9c3d610f95cd98a3fcb77066dc169138957a8f3812"
+
+
+def test_lattice_matches_its_pinned_digest():
+    digest = hashlib.sha256()
+
+    def update(G):
+        subs = enumerate_subgroups(G)
+        index = {id(S): i for i, S in enumerate(subs)}
+        digest.update(f"{G.order()}:{len(subs)}\n".encode())
+        for S in subs:
+            digest.update(repr(S.carrier.sorted_element_tuples()).encode())
+        for cls in subgroup_classes(G):
+            members = [(index[id(S)], S.carrier.generator_tuples) for S in cls.members]
+            digest.update(repr(members).encode())
+
+    for spec in default_sweep(2500) + [parse_spec(f"FILE:{EXTRASPECIAL_FROBENIUS}")]:
+        G, _ = build(spec)
+        if G.order() <= get_limits().subgroup_bound:
+            update(G)
+    with using_limits(Limits(subgroup_bound=3000)):
+        update(build(parse_spec("PSL2:17"))[0])
+    assert digest.hexdigest() == LATTICE_PIN
 
 
 def test_subgroup_classes_partition_the_lattice():
