@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .errors import InvalidParameter
+
 
 def is_prime(n: int) -> bool:
     return factorize(n) == {n: 1}
@@ -26,11 +28,16 @@ def primes_dividing(n: int) -> list[int]:
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n >= 1."""
     return p ** p_valuation(n, p)
 
 
 def p_valuation(n: int, p: int) -> int:
+    """Exponent of the largest power of p dividing n; InvalidParameter
+    unless n >= 1 and p >= 2, since every power of p divides 0 and every
+    power of 1 divides n."""
+    if n < 1 or p < 2:
+        raise InvalidParameter(f"p-valuation needs n >= 1 and p >= 2, got n={n}, p={p}")
     v = 0
     while n % p == 0:
         v += 1

@@ -47,15 +47,15 @@ def dimino_extend(
     base_set: Iterable[tuple[int, ...]],
     gens: list[tuple[int, ...]],
     new_gens: list[tuple[int, ...]],
-    cap: int | None = None,
-    full_set: frozenset | None = None,
-):
+) -> set[tuple[int, ...]]:
     """Element set of the group generated by a known subgroup and extra elements.
 
     base_set must be a subgroup's full element set and gens must contain a
     generating set for base_set plus new_gens; growth is by whole right
-    cosets of the base. If cap is given and exceeded, full_set is returned
-    (caller guarantees the closure is then the full ambient group).
+    cosets of the base, each composed element by element. The subgroup
+    lattice does not use it: a join there walks the base's right cosets by
+    number and stops once it has reached more than n/(2|base|) of them,
+    since a proper subgroup of an order-n group has at most that many.
     """
     base_list = list(base_set)
     els: set[tuple[int, ...]] = set(base_list)
@@ -68,7 +68,5 @@ def dimino_extend(
             t = compose_tuples(r, s)
             if t not in els:
                 els.update(compose_tuples(x, t) for x in base_list)
-                if cap is not None and len(els) > cap:
-                    return full_set
                 frontier.append(t)
     return els

@@ -9,11 +9,12 @@ Centralizers and normalizers are pruned walks of the stabilizer chain
 from __future__ import annotations
 
 from functools import cmp_to_key
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .arith import is_prime_power, primes_dividing
 from .chain import StabilizerChain, build_chain
-from .closure import act_on_point, dimino_extend, orbit
+from .closure import act_on_point, orbit
 from .errors import AmbientMismatch, NotASubgroup, OrderTooLarge
 from .group import Group, trivial_group
 from .limits import get_limits
@@ -347,8 +348,13 @@ def enumerate_subgroups(G: Group) -> list[Subgroup]:
     closing under all pairwise joins, since every subgroup is generated by
     its elements of prime-power order). Only one cyclic per N_G(X)-orbit is
     joined: for n in N_G(X) the join of X with C^n is the join with C
-    conjugated by n. Each new class is entered whole as the conjugation
-    orbit of its representative; ``subgroup_classes`` returns the classes.
+    conjugated by n, and the orbit steps by <t>^n = <t^n>. A join is the
+    orbit of the trivial right X-coset under X's generators and C's; each
+    coset is composed once per representative, the first time a join
+    reaches it. A proper subgroup of an order-n group has order at most n/2,
+    so once a join reaches more than n/(2|X|) cosets it is the whole group.
+    Each new class is entered whole as the conjugation orbit of its
+    representative; ``subgroup_classes`` returns the classes.
     """
     return _lattice(G)[0]
 
@@ -374,23 +380,29 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         degree = G.degree
         ident = identity_tuple(degree)
         full = G.element_tuples()
-        half_cap = n // 2
         gen_tuples = [g for g in G.generator_tuples if g != ident]
 
         cyclics: dict[frozenset, tuple[int, ...]] = {}  # key -> first generator met
+        cyclic_of: dict[tuple[int, ...], frozenset] = {}  # element -> key of <element>
         for t in G.sorted_element_tuples():
-            if t == ident:
+            if t == ident or t in cyclic_of:
                 continue
             powers = [ident]
             x = t
             while x != ident:
                 powers.append(x)
                 x = compose_tuples(x, t)
-            cyclics.setdefault(frozenset(powers), t)
+            key = frozenset(powers)
+            cyclics[key] = t
+            m = len(powers)
+            cyclic_of.update((powers[k], key) for k in range(1, m) if gcd(k, m) == 1)
         pp_cyclics = [(key, t) for key, t in cyclics.items() if is_prime_power(len(key))]
 
         def conjugate_key(key: frozenset, g: tuple[int, ...]) -> frozenset:
             return frozenset(conjugate_tuple(x, g) for x in key)
+
+        def conjugate_cyclic(key: frozenset, g: tuple[int, ...]) -> frozenset:
+            return cyclic_of[conjugate_tuple(cyclics[key], g)]  # <t>^g == <t^g>
 
         found: set[frozenset] = set()  # every subgroup met, whole classes only
         records: list[SubgroupClass] = []
@@ -413,13 +425,42 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
             X = X_sub.carrier.element_tuples()
             X_gens = list(X_sub.carrier.generator_tuples)
             N_gens = normalizer(G, X_sub).carrier.generator_tuples
+            # a proper join J has |J| <= n/2, so at most this many X-cosets
+            max_index = (n // 2) // len(X)
+            # the right X-cosets met by this representative's joins, numbered
+            # in the order met: each element's coset number and each coset's
+            # elements, any of which represents it
+            coset_of = dict.fromkeys(X, 0)
+            cosets = [list(X)]
             tried: set[frozenset] = set()  # cyclics in an N_G(X)-orbit already joined
             for ckey, cgen in pp_cyclics:
                 if cgen in X or ckey in tried:
                     continue
-                tried.update(orbit(ckey, N_gens, conjugate_key))
-                J = dimino_extend(X, X_gens, [cgen], cap=half_cap, full_set=full)
-                Jkey = J if isinstance(J, frozenset) else frozenset(J)
+                tried.update(orbit(ckey, N_gens, conjugate_cyclic))
+                # the orbit of the trivial coset under right multiplication
+                # by X and cgen is the set of X-cosets in the join
+                walk_gens = X_gens + [cgen]
+                reached = [0]
+                seen = {0}
+                for i in reached:
+                    if len(reached) > max_index:
+                        break
+                    r = cosets[i][0]
+                    for g in walk_gens:
+                        t = compose_tuples(r, g)
+                        j = coset_of.get(t)
+                        if j is None:
+                            j = len(cosets)
+                            coset = [compose_tuples(x, t) for x in X]
+                            coset_of.update(dict.fromkeys(coset, j))
+                            cosets.append(coset)
+                        if j not in seen:
+                            seen.add(j)
+                            reached.append(j)
+                if len(reached) > max_index:
+                    Jkey = full
+                else:
+                    Jkey = frozenset(x for j in reached for x in cosets[j])
                 if Jkey not in found:
                     enter_class(Jkey)
         built = [S for rec in records for S in rec.members]

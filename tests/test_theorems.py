@@ -17,6 +17,7 @@ from normlab.subgroups import (
     fingerprint,
     is_normal,
     subgroup,
+    subgroup_classes,
     trivial_subgroup,
     whole,
 )
@@ -113,6 +114,27 @@ def test_maxnorm_modes_differ_where_expected():
     ctx = maximal_normalizer_context(G, a4_like)
     assert not ctx.result(MODE_FIT_NORMAL).passed
     assert ctx.result(MODE_H_NORMAL).passed
+
+
+def test_maximal_normalizer_hits_with_fitting_subgroups_are_self_normalizing():
+    # Z = Z(Fit(H/C)) is characteristic in H/C, so N(H/C) normalizes it, and
+    # Z is a candidate in both modes: a pass makes N(Z) = H/C, so N(H) = H,
+    # which is |class| * |H| == |G|
+    hits = 0
+    for spec in default_sweep(2500) + [parse_spec(f"FILE:{EXTRASPECIAL_FROBENIUS}")]:
+        G, _ = build(spec)
+        if G.order() > get_limits().subgroup_bound:
+            continue
+        for rep, members in subgroup_classes(G):
+            if len(members) == 1:
+                continue
+            ctx = maximal_normalizer_context(G, rep)
+            if ctx.fitting is None or ctx.fitting.order() == 1:
+                continue
+            if any(ctx.result(mode).passed for mode in MODES):
+                assert len(members) * rep.order() == G.order(), (str(spec), fingerprint(rep))
+                hits += 1
+    assert hits >= 50  # 50 classes pass today
 
 
 def test_an_unknown_mode_is_refused(s4, monkeypatch):
