@@ -15,7 +15,8 @@ way the suite did before it read them once per conjugacy class;
 ``per_pair_scan_reports`` runs the library's maximal-normalizer test and
 verifiers on every pair, the way the scan did before it ran them once per
 conjugacy class; ``conjugate_subgroup`` hands the library a conjugate of one
-of its subgroups, built from conjugated generators.
+of its subgroups, built from conjugated generators; ``quotient_by_coset_bfs``
+reads the modulus's element set from the library.
 """
 
 from __future__ import annotations
@@ -305,6 +306,40 @@ def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
 def brute_normal_closure(ambient: set[Perm], gens: list[Perm], degree: int) -> set[Perm]:
     conjugates = [conj(h, g) for h in gens for g in ambient]
     return mulclose(conjugates, degree) if conjugates else mulclose([], degree)
+
+
+def quotient_by_coset_bfs(G: Group, N: Subgroup):
+    """G's action on the right cosets of a normal N, numbered by a hand-written
+    breadth-first walk from N that keeps one product of generators per coset:
+    (the image generator tuples, the projection of an image tuple). A coset
+    is keyed by its smallest element. The reference for ``quotient``'s
+    numbering, which reaches reports through the fingerprints of images."""
+    n_elems = N.carrier.element_tuples()
+
+    def coset_key(t):
+        return min(compose_tuples(x, t) for x in n_elems)
+
+    gens = G.generator_tuples
+    reps = [identity_tuple(G.degree)]
+    index_of = {coset_key(reps[0]): 0}
+    edges = {}
+    qi = 0
+    while qi < len(reps):
+        r = reps[qi]
+        for gi, g in enumerate(gens):
+            t = compose_tuples(r, g)
+            key = coset_key(t)
+            if key not in index_of:
+                index_of[key] = len(reps)
+                reps.append(t)
+            edges[(qi, gi)] = index_of[key]
+        qi += 1
+    image_gens = [tuple(edges[(i, gi)] + 1 for i in range(len(reps))) for gi in range(len(gens))]
+
+    def project(t):
+        return tuple(index_of[coset_key(compose_tuples(r, t))] + 1 for r in reps)
+
+    return image_gens, project
 
 
 def filter_normalizer(ambient: set[Perm], H_gens: list[Perm], H: set[Perm]) -> set[Perm]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -40,7 +41,9 @@ from normlab.subgroups import (
     whole,
 )
 
-from oracles import conj, dihedral_2group_by_closure, normalizer_sylow
+from oracles import conj, dihedral_2group_by_closure, normalizer_sylow, quotient_by_coset_bfs
+
+EXTRASPECIAL_FROBENIUS = Path(__file__).parent / "data" / "frobenius_7_1_2_3.grp"
 
 
 # -- series and solvability -----------------------------------------------------
@@ -281,6 +284,25 @@ def test_quotient_order_product():
                 continue
             Q = quotient(G, N)
             assert Q.image.order() * N.order() == G.order(), name
+
+
+def test_quotient_numbers_cosets_like_the_bfs_oracle():
+    # Q's numbering of the cosets reaches the documents through the
+    # fingerprints of images, so it must not move
+    specs = [*default_sweep(max_order=200), parse_spec(f"FILE:{EXTRASPECIAL_FROBENIUS}")]
+    checked = 0
+    for spec in specs:
+        G, _ = build(spec)
+        for N in enumerate_subgroups(G):
+            if not 1 < N.order() < G.order() or not is_normal(G, N):
+                continue
+            Q = quotient(G, N)
+            image_gens, project = quotient_by_coset_bfs(G, N)
+            assert Q.image.generator_tuples == tuple(image_gens), (str(spec), fingerprint(N))
+            for g in G.generators:
+                assert Q.project(g).images == project(g.images), (str(spec), fingerprint(N))
+            checked += 1
+    assert checked > 50
 
 
 def test_projection_is_homomorphism(s4):
