@@ -1,12 +1,14 @@
 """Element-set closure helpers on raw image tuples.
 
 These are the hot loops behind subgroup enumeration; they work on plain
-tuples to avoid object overhead.
+tuples to avoid object overhead. ``orbit`` is the one breadth-first walk:
+point orbits, conjugacy classes of elements and subgroups, cyclic powers,
+lattice joins over cosets and the coset action of a quotient all read it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .perm import compose_tuples, identity_tuple
 
@@ -17,19 +19,26 @@ T = TypeVar("T")
 
 def orbit(
     seed: T, gens: Iterable[tuple[int, ...]], act: Callable[[T, tuple[int, ...]], T]
-) -> list[T]:
-    """The orbit of seed under the group the generators generate, in
-    breadth-first discovery order; act(x, g) is the image of x under g."""
+) -> Iterator[T]:
+    """The orbit of seed under the group the generators generate, lazily in
+    breadth-first discovery order; act(x, g) is the image of x under g.
+
+    The seed comes first, before any act call, and each point is yielded as
+    soon as it is met: points in the order met, each one's images in the
+    order of gens. A reader may stop early; one that needs the orbit twice
+    or its length takes a list.
+    """
     gens = list(gens)
     found = [seed]
     seen = {seed}
+    yield seed
     for x in found:
         for g in gens:
             y = act(x, g)
             if y not in seen:
                 seen.add(y)
                 found.append(y)
-    return found
+                yield y
 
 
 def act_on_point(point: int, g: tuple[int, ...]) -> int:

@@ -10,6 +10,7 @@ from math import gcd
 from typing import Callable
 
 from .arith import is_prime, is_prime_power, p_part, p_valuation, primes_dividing
+from .closure import orbit
 from .errors import (
     IndexTooLarge,
     InvalidPrime,
@@ -244,9 +245,11 @@ class QuotientGroup:
 def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     """The quotient of G by a normal subgroup N, as a coset action.
 
-    The image acts on the right cosets of N (degree = index). The trivial
-    modulus short-circuits to an identity projection and N == G to the
-    trivial image, so callers can quotient unconditionally.
+    The image acts on the right cosets of N (degree = index). A coset is
+    keyed by its smallest element, and the cosets are numbered in the order
+    of the orbit of N's key under right multiplication by G's generators.
+    The trivial modulus short-circuits to an identity projection and N == G
+    to the trivial image, so callers can quotient unconditionally.
     """
     _check_ambient(G, N)
     if not is_normal(G, N):
@@ -265,34 +268,23 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     def coset_key(t: tuple[int, ...]) -> tuple[int, ...]:
         return min(compose_tuples(x, t) for x in n_elems)
 
-    ident = identity_tuple(G.degree)
-    reps: list[tuple[int, ...]] = [ident]
-    index_of: dict[tuple[int, ...], int] = {coset_key(ident): 0}
-    gen_tuples = G.generator_tuples
-    edges: dict[tuple[int, int], int] = {}
-    qi = 0
-    while qi < len(reps):
-        r = reps[qi]
-        for gi, g in enumerate(gen_tuples):
-            t = compose_tuples(r, g)
-            key = coset_key(t)
-            j = index_of.get(key)
-            if j is None:
-                j = len(reps)
-                index_of[key] = j
-                reps.append(t)
-            edges[(qi, gi)] = j
-        qi += 1
-    if len(reps) != index:
-        raise InvariantViolated(f"coset action found {len(reps)} cosets, not {index}")
+    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
 
-    image_gens = [
-        tuple(edges[(i, gi)] + 1 for i in range(index)) for gi in range(len(gen_tuples))
-    ]
+    def times(k: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+        # kept, so the image generators read each product's key once
+        steps[(k, g)] = key = coset_key(compose_tuples(k, g))
+        return key
+
+    gen_tuples = G.generator_tuples
+    keys = list(orbit(coset_key(identity_tuple(G.degree)), gen_tuples, times))
+    if len(keys) != index:
+        raise InvariantViolated(f"coset action found {len(keys)} cosets, not {index}")
+    index_of = {k: i for i, k in enumerate(keys)}
+    image_gens = [tuple(index_of[steps[(k, g)]] + 1 for k in keys) for g in gen_tuples]
     image = Group.from_generator_tuples(index, image_gens)
 
     def project(t: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(index_of[coset_key(compose_tuples(r, t))] + 1 for r in reps)
+        return tuple(index_of[coset_key(compose_tuples(k, t))] + 1 for k in keys)
 
     return QuotientGroup(G, N, image, project)
 

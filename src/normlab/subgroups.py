@@ -9,6 +9,7 @@ Centralizers and normalizers are pruned walks of the stabilizer chain
 from __future__ import annotations
 
 from functools import cmp_to_key
+from itertools import islice
 from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
@@ -300,7 +301,7 @@ def _chain_backtrack(
     orbit_sizes: list[int] = []
     for pt in range(1, chain.degree + 1):
         if orbit_id[pt] < 0:
-            orb = orbit(pt, gens, act_on_point)
+            orb = list(orbit(pt, gens, act_on_point))
             for y in orb:
                 orbit_id[y] = len(orbit_sizes)
             orbit_sizes.append(len(orb))
@@ -387,11 +388,7 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         for t in G.sorted_element_tuples():
             if t == ident or t in cyclic_of:
                 continue
-            powers = [ident]
-            x = t
-            while x != ident:
-                powers.append(x)
-                x = compose_tuples(x, t)
+            powers = list(orbit(ident, (t,), compose_tuples))  # t^0, t^1, ..
             key = frozenset(powers)
             cyclics[key] = t
             m = len(powers)
@@ -408,7 +405,7 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
         records: list[SubgroupClass] = []
 
         def enter_class(key: frozenset) -> None:
-            keys = orbit(key, gen_tuples, conjugate_key)
+            keys = list(orbit(key, gen_tuples, conjugate_key))
             found.update(keys)
             members = tuple(Subgroup(G, Group.from_element_tuples(degree, k)) for k in keys)
             records.append(SubgroupClass(members[0], members))
@@ -429,34 +426,30 @@ def _lattice(G: Group) -> tuple[list[Subgroup], list[SubgroupClass]]:
             max_index = (n // 2) // len(X)
             # the right X-cosets met by this representative's joins, numbered
             # in the order met: each element's coset number and each coset's
-            # elements, any of which represents it
+            # elements, any of which represents it. coset_times(i, g) is the
+            # number of coset i times g, composed the first time it is met
             coset_of = dict.fromkeys(X, 0)
             cosets = [list(X)]
+
+            def coset_times(i: int, g: tuple[int, ...]) -> int:
+                t = compose_tuples(cosets[i][0], g)
+                j = coset_of.get(t)
+                if j is None:
+                    j = len(cosets)
+                    coset = [compose_tuples(x, t) for x in X]
+                    coset_of.update(dict.fromkeys(coset, j))
+                    cosets.append(coset)
+                return j
+
             tried: set[frozenset] = set()  # cyclics in an N_G(X)-orbit already joined
             for ckey, cgen in pp_cyclics:
                 if cgen in X or ckey in tried:
                     continue
                 tried.update(orbit(ckey, N_gens, conjugate_cyclic))
                 # the orbit of the trivial coset under right multiplication
-                # by X and cgen is the set of X-cosets in the join
-                walk_gens = X_gens + [cgen]
-                reached = [0]
-                seen = {0}
-                for i in reached:
-                    if len(reached) > max_index:
-                        break
-                    r = cosets[i][0]
-                    for g in walk_gens:
-                        t = compose_tuples(r, g)
-                        j = coset_of.get(t)
-                        if j is None:
-                            j = len(cosets)
-                            coset = [compose_tuples(x, t) for x in X]
-                            coset_of.update(dict.fromkeys(coset, j))
-                            cosets.append(coset)
-                        if j not in seen:
-                            seen.add(j)
-                            reached.append(j)
+                # by X and cgen is the set of X-cosets in the join; the walk
+                # stops at the first coset past max_index, and J is then G
+                reached = list(islice(orbit(0, X_gens + [cgen], coset_times), max_index + 1))
                 if len(reached) > max_index:
                     Jkey = full
                 else:
@@ -495,10 +488,7 @@ def minimal_normal_subgroups(G: Group) -> list[Subgroup]:
             for z in Z.sorted_element_stream():
                 if z in met or order_of_tuple(z) != p:
                     continue
-                x = z
-                for _ in range(p - 1):
-                    met.add(x)
-                    x = compose_tuples(x, z)
+                met.update(orbit(z, (z,), compose_tuples))
                 N = normal_closure(G, Subgroup(G, Group.from_generator_tuples(G.degree, (z,))))
                 if not any(subgroups_equal(N, M) for M in closures):
                     closures.append(N)

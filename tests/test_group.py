@@ -10,6 +10,7 @@ import pytest
 
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.chain import build_chain
+from normlab.closure import act_on_point, orbit
 from normlab.errors import (
     DegreeMismatch,
     EmptyDegree,
@@ -19,7 +20,7 @@ from normlab.errors import (
 )
 from normlab.group import Group, trivial_group
 from normlab.limits import Limits, using_limits
-from normlab.perm import Perm, conjugate_tuple, perm_from_cycles
+from normlab.perm import Perm, compose_tuples, conjugate_tuple, identity_tuple, perm_from_cycles
 from normlab.subgroups import normal_closure, subgroup
 
 from oracles import brute_class_reps, brute_order, mulclose
@@ -108,6 +109,32 @@ def test_membership_positive_and_negative(s4):
 
 def test_orbit(s4):
     assert s4.orbit(1) == {1, 2, 3, 4}
+
+
+def test_closure_orbit_is_a_lazy_breadth_first_walk(s4):
+    def unused_act(x, g):
+        raise AssertionError("the seed needs no action")
+
+    walk = orbit(7, [(1,)], unused_act)
+    assert iter(walk) is walk
+    assert next(walk) == 7
+
+    def breadth_first(seed, gens, act):
+        found, seen = [seed], {seed}
+        for x in found:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    found.append(y)
+        return found
+
+    gens = s4.generator_tuples  # (2,1,3,4) and (2,3,4,1)
+    assert list(orbit(3, gens, act_on_point)) == [3, 4, 1, 2]
+    ident = identity_tuple(4)
+    elements = list(orbit(ident, gens, compose_tuples))
+    assert elements == breadth_first(ident, gens, compose_tuples)
+    assert len(elements) == 24
 
 
 def test_orbit_fixed_point():
