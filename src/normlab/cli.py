@@ -91,14 +91,16 @@ def _render_report(r: VerdictReport) -> str:
 
 
 def _emit(doc: dict, fmt: str, out_path: str | None, human_text: str) -> None:
+    """Print the document or the text, then write the document to out_path:
+    a path that cannot be written is a usage error, after the output."""
     payload = json.dumps(doc, indent=2, sort_keys=False)
+    print(payload if fmt == "json" else human_text)
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    if fmt == "json":
-        print(payload)
-    else:
-        print(human_text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            raise InvalidParameter(f"cannot write report to {out_path!r}: {type(exc).__name__}") from None
 
 
 def _exit_code_for(reports: list[VerdictReport]) -> int:

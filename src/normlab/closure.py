@@ -1,9 +1,8 @@
 """Element-set closure helpers on raw image tuples.
 
 These are the hot loops behind subgroup enumeration; they work on plain
-tuples to avoid object overhead. ``orbit`` is the one breadth-first walk:
-point orbits, conjugacy classes of elements and subgroups, cyclic powers,
-lattice joins over cosets and the coset action of a quotient all read it.
+tuples to avoid object overhead. ``orbit`` is the one breadth-first walk,
+behind orbits, classes, cyclic powers, lattice joins and coset actions.
 """
 
 from __future__ import annotations
@@ -20,14 +19,9 @@ T = TypeVar("T")
 def orbit(
     seed: T, gens: Iterable[tuple[int, ...]], act: Callable[[T, tuple[int, ...]], T]
 ) -> Iterator[T]:
-    """The orbit of seed under the group the generators generate, lazily in
-    breadth-first discovery order; act(x, g) is the image of x under g.
-
-    The seed comes first, before any act call, and each point is yielded as
-    soon as it is met: points in the order met, each one's images in the
-    order of gens. A reader may stop early; one that needs the orbit twice
-    or its length takes a list.
-    """
+    """The orbit of seed under the group the generators generate, where
+    act(x, g) is x's image under g, yielded lazily in breadth-first order:
+    the seed before any act call, then each point as soon as it is met."""
     gens = list(gens)
     found = [seed]
     seen = {seed}

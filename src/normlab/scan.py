@@ -366,24 +366,30 @@ def scan(
     """Run the scan over the given specs; returns (reports, summary).
 
     Groups are handed out one at a time, largest order first, so the
-    slowest group starts at once and no worker queues others behind it.
+    slowest group starts at once and no worker queues others behind it. A
+    group above max_order is not scanned; it gets one scan skip report.
     """
     if jobs < 1:
         raise InvalidParameter(f"jobs must be >= 1, got {jobs}")
     _check_request(theorems, modes)
     sized: list[tuple[int, GroupSpec]] = []
+    results: list[tuple[list[VerdictReport], dict]] = []
     for spec in specs:
         order = build(spec)[0].order()
         if max_order is None or order <= max_order:
             sized.append((order, spec))
+        else:
+            subject = {"group": str(spec), "group_order": order}
+            reason = f"group order {order} exceeds max order {max_order}"
+            results.append(([skip_report("scan", subject, reason)], {"groups": 1, "skipped_groups": 1}))
     sized.sort(key=lambda item: -item[0])
     tasks = [(spec, theorems, modes, intro) for _, spec in sized]
 
     if jobs == 1 or len(tasks) <= 1:
-        results = [scan_group(*task) for task in tasks]
+        results += [scan_group(*task) for task in tasks]
     else:
         with multiprocessing.get_context("fork").Pool(min(jobs, len(tasks))) as pool:
-            results = pool.map(_scan_worker, tasks, chunksize=1)
+            results += pool.map(_scan_worker, tasks, chunksize=1)
 
     all_reports: list[VerdictReport] = []
     totals = {"groups": 0, "pairs": 0, "hits": 0, "skipped_groups": 0}

@@ -245,11 +245,10 @@ class QuotientGroup:
 def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     """The quotient of G by a normal subgroup N, as a coset action.
 
-    The image acts on the right cosets of N (degree = index). A coset is
-    keyed by its smallest element, and the cosets are numbered in the order
-    of the orbit of N's key under right multiplication by G's generators.
-    The trivial modulus short-circuits to an identity projection and N == G
-    to the trivial image, so callers can quotient unconditionally.
+    The image acts on the right cosets of N (degree = index), each keyed by
+    its smallest element and numbered in orbit order from N. The trivial
+    modulus short-circuits to an identity projection and N == G to the
+    trivial image, so callers can quotient unconditionally.
     """
     _check_ambient(G, N)
     if not is_normal(G, N):
@@ -268,10 +267,10 @@ def quotient(G: Group, N: Subgroup) -> QuotientGroup:
     def coset_key(t: tuple[int, ...]) -> tuple[int, ...]:
         return min(compose_tuples(x, t) for x in n_elems)
 
-    steps: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]] = {}
+    steps: dict[tuple, tuple[int, ...]] = {}  # (key, g) -> key of the product
 
     def times(k: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-        # kept, so the image generators read each product's key once
+        # kept for the image generators: a key costs a min over N
         steps[(k, g)] = key = coset_key(compose_tuples(k, g))
         return key
 

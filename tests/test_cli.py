@@ -332,14 +332,33 @@ def test_scan_cli_json_format_prints_document(tmp_path, capsys):
 
 
 def test_scan_cli_empty(tmp_path, capsys):
-    out_path = tmp_path / "scan.json"
-    code, out, _ = run_cli(
-        ["scan", "--group", "S:4", "--max-order", "1", "--out", str(out_path)], capsys
-    )
-    assert code == 0
-    doc = json.loads(out_path.read_text())
-    assert doc["reports"] == []
-    assert doc["summary"]["status_counts"]["counterexample"] == 0
+    # a named group above --max-order (default 2500) is a skip record, not
+    # silently left out, so everything relevant was skipped: exit 4
+    for group, extra, order, limit in (("S:4", ["--max-order", "1"], 24, 1), ("S:7", [], 5040, 2500)):
+        out_path = tmp_path / "scan.json"
+        code, out, _ = run_cli(["scan", "--group", group, *extra, "--out", str(out_path)], capsys)
+        assert code == 4
+        doc = json.loads(out_path.read_text())
+        (report,) = doc["reports"]
+        assert report["theorem"] == "scan" and report["status"] == "skipped-too-large"
+        assert report["subject"] == {"group": group, "group_order": order}
+        assert report["metadata"]["reason"] == f"group order {order} exceeds max order {limit}"
+        assert doc["summary"]["groups_scanned"] == doc["summary"]["groups_skipped"] == 1
+        assert "scan complete: 1 group(s), 0 pair(s)" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--group", "S:3"],
+    ["verify", "comp22", "--group", "S:4", "--subgroup", "stab:4"],
+    ["scan", "--group", "S:3", "--no-intro"],
+])
+def test_unwritable_out_is_a_usage_error_after_the_output(argv, tmp_path, capsys):
+    # a directory cannot be opened for writing; the work already done still
+    # reaches stdout, and the failure names the path instead of a traceback
+    code, out, err = run_cli([*argv, "--format", "json", "--out", str(tmp_path)], capsys)
+    assert code == 2
+    assert json.loads(out)["tool"] == "normlab"
+    assert err.strip() == f"error: cannot write report to {str(tmp_path)!r}: IsADirectoryError"
 
 
 def test_scan_cli_unknown_theorem_is_a_usage_error(tmp_path, capsys):

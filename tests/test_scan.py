@@ -9,7 +9,7 @@ import pytest
 from normlab.catalog import build, default_sweep, parse_spec
 from normlab.errors import InvalidParameter, NotNormal, OrderTooLarge, UnknownTheorem
 from normlab.limits import Limits, get_limits, using_limits
-from normlab.scan import INTRO_BOUND, VERIFIERS, intro_suite, scan, scan_group
+from normlab.scan import INTRO_BOUND, VERIFIERS, intro_suite, scan, scan_group, skip_report
 from normlab.subgroups import (
     enumerate_subgroups,
     fingerprint,
@@ -62,9 +62,14 @@ def test_scan_skips_oversized_group():
 
 
 def test_scan_max_order_filters_everything():
+    # a group above max_order is recorded as skipped, never dropped
     reports, summary = scan([parse_spec("S:4")], max_order=1)
-    assert reports == []
-    assert summary["groups_scanned"] == 0
+    assert [r.to_dict() for r in reports] == [
+        skip_report("scan", {"group": "S:4", "group_order": 24},
+                    "group order 24 exceeds max order 1").to_dict()
+    ]
+    assert summary["groups_scanned"] == summary["groups_skipped"] == 1
+    assert summary["pairs_scanned"] == 0
 
 
 def test_scan_deterministic_across_workers():
