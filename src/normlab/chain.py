@@ -5,7 +5,8 @@ is appended for every such point until one is moved by the residue that
 needs it; the levels in between have trivial transversals. Every chain
 therefore has the base 1, 2, .., k with every level fixing all smaller
 points, so its depth-first walk is ascending; that walk, pruned per node by
-its callers, is the only search over a chain.
+its callers and started at any branching level below a given prefix, is the
+only search over a chain.
 Transversal entries are never overwritten once created, which keeps earlier
 sift verdicts valid while the chain grows and makes the whole construction
 deterministic. Permutations are image tuples throughout.
@@ -178,7 +179,9 @@ class StabilizerChain:
         """The levels with a non-trivial transversal, the only ones a walk branches on."""
         return [lvl for lvl in self.levels if len(lvl.transversal) > 1]
 
-    def walk(self, prune: Callable | None = None, root: object = None) -> Iterator[Images]:
+    def walk(
+        self, prune: Callable | None = None, root: object = None, start: int = 0, node: Images | None = None
+    ) -> Iterator[Images]:
         """Every product u_k * .. * u_1 of transversal entries, depth first
         with each prefix's children in ascending order: each element exactly
         once on any chain, from an explicit stack of iterators, one per
@@ -187,6 +190,10 @@ class StabilizerChain:
         with its children at branching level i and its state (``root`` at
         the top), and returns the (child, state) pairs to keep; sorted by
         child, they make a pruned walk the full walk minus the cut subtrees.
+        ``start`` and ``node`` begin the walk at branching level ``start``
+        below the prefix ``node`` (the identity by default), whose state is
+        ``root``: the subtree of the elements that agree with ``node`` on
+        the base points of the levels above.
 
         The base ascends and every level fixes each smaller point, so the
         walk is in ascending image-tuple order: an element's images of the
@@ -194,12 +201,14 @@ class StabilizerChain:
         sorted children of a prefix differ first at that base's image (Sims's
         lexicographic coset representatives).
         """
-        reps = [[u for u, _ in lvl.transversal.values()] for lvl in self.branching_levels()]
+        if node is None:
+            node = self.ident
+        reps = [[u for u, _ in lvl.transversal.values()] for lvl in self.branching_levels()[start:]]
         if not reps:
-            yield self.ident
+            yield node
             return
         last = len(reps) - 1
-        stack = [iter(((self.ident, root),))]
+        stack = [iter(((node, root),))]
         while stack:
             node = next(stack[-1], None)
             if node is None:
@@ -211,7 +220,7 @@ class StabilizerChain:
                 children.sort()
                 kept = children if i == last else zip(children, repeat(None))
             else:
-                kept = sorted(prune(i, node[1], children), key=itemgetter(0))
+                kept = sorted(prune(start + i, node[1], children), key=itemgetter(0))
                 children = [child for child, _ in kept]
             if i == last:
                 yield from children

@@ -90,17 +90,26 @@ def _render_report(r: VerdictReport) -> str:
     return "\n".join(lines)
 
 
-def _emit(doc: dict, fmt: str, out_path: str | None, human_text: str) -> None:
+def _emit(
+    doc: dict, fmt: str, out_path: str | None, human_text: str, written_note: str = ""
+) -> None:
     """Print the document or the text, then write the document to out_path:
-    a path that cannot be written is a usage error, after the output."""
+    a path that cannot be written is a usage error, after the output. The
+    human text's last line ends with written_note only once the write has
+    succeeded."""
     payload = json.dumps(doc, indent=2, sort_keys=False)
-    print(payload if fmt == "json" else human_text)
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload + "\n")
-        except OSError as exc:
-            raise InvalidParameter(f"cannot write report to {out_path!r}: {type(exc).__name__}") from None
+    print(payload if fmt == "json" else human_text, end="")
+    try:
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(payload + "\n")
+            except OSError as exc:
+                raise InvalidParameter(f"cannot write report to {out_path!r}: {type(exc).__name__}") from None
+            if fmt != "json":
+                print(written_note, end="")
+    finally:
+        print()
 
 
 def _exit_code_for(reports: list[VerdictReport]) -> int:
@@ -248,9 +257,9 @@ def cmd_scan(args, argv: list[str]) -> int:
     lines.append(
         f"scan complete: {summary['groups_scanned']} group(s), "
         f"{summary['pairs_scanned']} pair(s), {summary['maximal_normalizer_hits']} hit(s); "
-        f"statuses {summary['status_counts']}; report written to {out_path}"
+        f"statuses {summary['status_counts']}"
     )
-    _emit(doc, args.format, out_path, "\n".join(lines))
+    _emit(doc, args.format, out_path, "\n".join(lines), f"; report written to {out_path}")
     return _exit_code_for(reports)
 
 

@@ -35,7 +35,7 @@ from .perm import (
 from .subgroups import (
     Subgroup,
     _check_ambient,
-    _normalizing_elements,
+    _normalizer_chain,
     _same_group,
     core,
     enumerate_subgroups,
@@ -181,8 +181,9 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
 
     Grows a p-subgroup P, from the trivial one, by locating an element of
     its normalizer whose p-part falls outside P and adjoining a suitable
-    power, until the full p-part is reached; each round reads N_G(P)'s
-    ascending stream only up to its first such element.
+    power, until the full p-part is reached; each round reads the ascending
+    walk of N_G(P)'s chain, from the subgroup search, only up to its first
+    such element.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
@@ -195,7 +196,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
                 return Subgroup(G, P)
             P_sub = Subgroup(G, P)
             normal = P.order() == 1 or is_normal(G, P_sub)
-            for y in G.sorted_element_stream() if normal else _normalizing_elements(G, P_sub):
+            for y in G.sorted_element_stream() if normal else _normalizer_chain(G, P_sub).walk():
                 m = order_of_tuple(y)
                 if m % p == 0:
                     z = power_tuple(y, m // p_part(m, p))

@@ -2,8 +2,10 @@
 
 Generation, intersection, normal closure, core, centralizer, normalizer,
 full subgroup enumeration, minimal normal subgroups, and simplicity.
-Centralizers and normalizers are pruned walks of the stabilizer chain
-(``StabilizerChain.walk``). All functions are pure over immutable inputs.
+Centralizers and normalizers are subgroup searches over the stabilizer
+chain: seeded with a known subgroup, they walk (``StabilizerChain.walk``)
+only the subtrees below base images that the subgroup found so far does not
+yet reach. All functions are pure over immutable inputs.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 from functools import cmp_to_key
 from itertools import islice
 from math import gcd
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .arith import is_prime_power, primes_dividing
 from .chain import StabilizerChain, build_chain
@@ -194,8 +196,9 @@ def core(ambient: Group, H: Subgroup) -> Subgroup:
 
 def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     """Elements of the ambient group commuting with every element of A, by a
-    pruned walk of the stabilizer chain; the result is built as an element
-    set, so the ambient order stays under the enumeration bound."""
+    subgroup search over the stabilizer chain seeded with the generators of
+    A that commute with all of A; the result is built as an element set, so
+    the ambient order stays under the enumeration bound."""
     _check_ambient(ambient, A)
     ident = identity_tuple(ambient.degree)
     targets = [g for g in A.carrier.generator_tuples if g != ident]
@@ -205,6 +208,10 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     if ambient.order() > bound:
         raise OrderTooLarge(f"centralizer search needs order <= {bound}")
     chain = ambient.chain
+
+    def commutes(m: tuple[int, ...]) -> bool:
+        return all(compose_tuples(m, h) == compose_tuples(h, m) for h in targets)
+
     # a centralizing element c has c(h(x)) = h(c(x)): once the prefix fixes
     # the images of base points x and h(x), they must agree; each branching
     # level checks the pairs completed since the one before it (the base
@@ -223,12 +230,9 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
             if h[x - 1] in assigned and not (x in before and h[x - 1] in before)
         ])
         before = set(assigned)
-    cent = [
-        m
-        for m in _chain_backtrack(chain, targets, checks)
-        if all(compose_tuples(m, h) == compose_tuples(h, m) for h in targets)
-    ]
-    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent))
+    seed = build_chain(ambient.degree, [h for h in targets if commutes(h)])
+    cent = _subgroup_search(chain, seed, targets, commutes, checks)
+    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent.iter_elements()))
 
 
 def center(G: Group) -> Subgroup:
@@ -255,48 +259,77 @@ def is_normal(ambient: Group, H: Subgroup) -> bool:
 
 
 def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
-    """The set of ambient elements g with H^g == H, by a pruned walk of the
-    stabilizer chain, memoized on the ambient group by H's element set."""
+    """The set of ambient elements g with H^g == H, by a subgroup search
+    over the stabilizer chain, memoized on the ambient group by H's element
+    set."""
     _check_ambient(ambient, H)
     if H.order() == 1 or is_normal(ambient, H):
         return whole(ambient)
-    elems = _normalizing_elements(ambient, H)  # the bound holds for a memoized H too
+    _check_normalizer_bound(ambient)  # the bound holds for a memoized H too
     return ambient.cached(
         ("normalizer", H.carrier.element_tuples()),
-        lambda: Subgroup(ambient, Group.from_element_tuples(ambient.degree, elems)),
+        lambda: Subgroup(
+            ambient,
+            Group.from_element_tuples(ambient.degree, _normalizer_chain(ambient, H).iter_elements()),
+        ),
     )
 
 
-def _normalizing_elements(ambient: Group, H: Subgroup) -> Iterator[tuple[int, ...]]:
-    """N(H)'s elements in ascending order, lazily, for a reader that may stop
-    at its first hit: the chain's walk pruned by H's generators, filtered by
-    "conjugates every generator into H". The bound is checked at the call."""
+def _check_normalizer_bound(ambient: Group) -> None:
     bound = get_limits().enum_bound
     if ambient.order() > bound:
         raise OrderTooLarge(
             f"normalizer search: group order {ambient.order()} exceeds bound {bound}"
         )
+
+
+def _normalizer_chain(ambient: Group, H: Subgroup) -> StabilizerChain:
+    """A stabilizer chain of N(H), whose walk lists N(H)'s elements in
+    ascending order for a reader that may stop at its first hit: the subgroup
+    search seeded with H, keeping the elements that conjugate every
+    generator of H into H."""
+    _check_normalizer_bound(ambient)
     chain = ambient.chain
     h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
     H_set = H.carrier.element_tuples()
-    walk = _chain_backtrack(chain, h_gens)
-    return (m for m in walk if all(conjugate_tuple(h, m) in H_set for h in h_gens))
+
+    def normalizes(m: tuple[int, ...]) -> bool:
+        return all(conjugate_tuple(h, m) in H_set for h in h_gens)
+
+    return _subgroup_search(chain, H.carrier.chain, h_gens, normalizes)
 
 
-def _chain_backtrack(
-    chain: StabilizerChain, gens: list[tuple[int, ...]], checks: Sequence[Sequence[tuple]] = ()
-) -> Iterator[tuple[int, ...]]:
-    """The chain's walk with two prunes: its leaves, in ascending order, are
-    the candidates for the caller's exact test.
+def _subgroup_search(
+    chain: StabilizerChain,
+    seed: StabilizerChain,
+    gens: list[tuple[int, ...]],
+    test: Callable[[tuple[int, ...]], bool],
+    checks: Sequence[Sequence[tuple]] = (),
+) -> StabilizerChain:
+    """A chain of the subgroup K of the chain's group whose elements pass
+    ``test``, given a chain of a subgroup of K to start from, and a list
+    ``gens`` that every element of K normalizes as a set (Sims's subgroup
+    search; Seress, Permutation Group Algorithms, ch. 9).
 
-    Branching level i extends the prefix m by a transversal entry and so
-    fixes the image of its base point b_i. An element normalizing <gens>
-    maps <gens>-orbits onto orbits of equal size, consistently and
-    injectively; the orbit map built so far, and the orbits it uses, are
-    each node's state. ``checks[i]``, when given, lists triples (h, x, h(x))
-    that branching level i's children must satisfy as m(h(x)) = h(m(x)).
+    The branching levels are taken from the deepest up. When level i with
+    base b is reached, the known part already holds K's stabilizer of the
+    points 1..b, so it holds K's stabilizer of 1..b-1 once each base image g
+    of b is settled. g is covered when it lies in the orbit of b under the
+    known part's stabilizer of 1..b-1 (its level b-1, as both chains have
+    the base 1, 2, ..); otherwise the walk of the subtree below g, the
+    elements of that stabilizer in the chain's group mapping b to g, looks
+    for its first element passing the test. A hit joins the known part; a
+    miss refutes g's whole orbit under the known stabilizer, since K's
+    orbits are unions of the known part's.
+
+    Each node of a walk is pruned as in a search for elements normalizing
+    <gens>: such an element maps <gens>-orbits onto orbits of equal size,
+    consistently and injectively; the orbit map built so far, and the orbits
+    it uses, are each node's state. ``checks[i]``, when given, lists triples
+    (h, x, h(x)) that branching level i's children must satisfy as
+    m(h(x)) = h(m(x)).
     """
-    bases = [lvl.base for lvl in chain.branching_levels()]
+    levels = chain.branching_levels()
     orbit_id = [-1] * (chain.degree + 1)
     orbit_sizes: list[int] = []
     for pt in range(1, chain.degree + 1):
@@ -308,7 +341,7 @@ def _chain_backtrack(
 
     def prune(i: int, state: tuple, children: list[tuple[int, ...]]) -> list[tuple]:
         omap, used = state
-        base = bases[i]
+        base = levels[i].base
         o_src = orbit_id[base]
         committed = omap.get(o_src)
         level_checks = checks[i] if checks else ()
@@ -324,7 +357,28 @@ def _chain_backtrack(
                 kept.append((m, ({**omap, o_src: o_dst}, used | {o_dst})))
         return kept
 
-    yield from chain.walk(prune, ({}, frozenset()))
+    # the state of the identity prefix above each branching level
+    states: list[tuple] = [({}, frozenset())]
+    for i in range(len(levels) - 1):
+        states.append(prune(i, states[i], [chain.ident])[0][1])
+    known = seed
+    for i in reversed(range(len(levels))):
+        lvl = levels[i]
+        b = lvl.base
+        refuted: set[int] = set()
+        for g in lvl.transversal:
+            stab = known.levels[b - 1] if b <= len(known.levels) else None
+            if g == b or g in refuted or (stab is not None and g in stab.transversal):
+                continue
+            u = lvl.transversal[g][0]
+            kept = prune(i, states[i], [u])
+            subtree = chain.walk(prune, kept[0][1], i + 1, u) if kept else ()
+            hit = next((m for m in subtree if test(m)), None)
+            if hit is None:
+                refuted.update(orbit(g, stab.gens if stab is not None else (), act_on_point))
+            else:
+                known = known.extended([hit])
+    return known
 
 
 # -- subgroup enumeration ------------------------------------------------------

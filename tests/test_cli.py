@@ -359,6 +359,10 @@ def test_unwritable_out_is_a_usage_error_after_the_output(argv, tmp_path, capsys
     assert code == 2
     assert json.loads(out)["tool"] == "normlab"
     assert err.strip() == f"error: cannot write report to {str(tmp_path)!r}: IsADirectoryError"
+    # the human output is printed before the write too, and claims no report
+    code, out, err = run_cli([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 2 and "IsADirectoryError" in err
+    assert "written" not in out
 
 
 def test_scan_cli_unknown_theorem_is_a_usage_error(tmp_path, capsys):

@@ -237,45 +237,73 @@ def test_normalizer_backtrack_equals_exhaustive_everywhere():
 
 
 def test_pruned_walks_ascend_and_keep_every_accepted_element(monkeypatch):
-    # the normalizer and centralizer prunes cut subtrees of the chain's walk:
-    # what is left ascends strictly and holds every element the exact test
-    # accepts, here taken from the brute oracles on a chain-free enumeration
+    # normalizer and centralizer return exactly the elements that the brute
+    # oracles accept on a chain-free enumeration, and the stream each Sylow
+    # growth round reads, the walk of N(P)'s chain, ascends strictly and
+    # holds exactly N(P)
+    import normlab.structure
     from normlab.structure import sylow_subgroup
 
-    walks = []
-    backtrack = subgroups_module._chain_backtrack
+    streams = []
+    normalizer_chain = normlab.structure._normalizer_chain
 
-    def recording(*args):
-        walks.append(list(backtrack(*args)))
-        return iter(walks[-1])
+    def recording(G, P):
+        chain = normalizer_chain(G, P)
+        streams.append((P, list(chain.walk())))
+        return chain
 
-    monkeypatch.setattr(subgroups_module, "_chain_backtrack", recording)
-    specs = [*default_sweep(2500), *map(parse_spec, ("S:7", "PSL2:31"))]
-    checked = 0
+    monkeypatch.setattr(normlab.structure, "_normalizer_chain", recording)
+    extra = ("S:7", "PSL2:31", "PSL2:17", "PSL2:23", "PSL2:29", "AGL1:61")
+    specs = [*default_sweep(2500), *map(parse_spec, extra)]
+    checked = streamed = 0
     for spec in specs:
         G, _ = build(spec)
         ambient = mulclose(list(G.generators), G.degree)
         ambient_tuples = {g.images for g in ambient}
+        del streams[:]
         subs = [subgroup(G, [g]) for g in G.generators]
         subs += [sylow_subgroup(G, p) for p in primes_dividing(G.order())]
+        for P, stream in streams:
+            assert all(a < b for a, b in zip(stream, stream[1:])), str(spec)
+            want = brute_normalizer_tuples(ambient_tuples, P.carrier.element_tuples())
+            assert set(stream) == want, str(spec)
+            streamed += 1
         for H in subs:
             if H.order() == 1:
                 continue
-            H_set = H.carrier.element_tuples()
-            accepted = {
-                "normalizer": brute_normalizer_tuples(ambient_tuples, H_set),
-                "centralizer": {
-                    g.images for g in brute_centralizer(ambient, set(H.generators))
-                },
-            }
-            del walks[:]
-            list(subgroups_module._normalizing_elements(G, H))
-            centralizer(G, H)
-            for (kind, want), leaves in zip(accepted.items(), walks, strict=True):
-                assert all(a < b for a, b in zip(leaves, leaves[1:])), (str(spec), kind)
-                assert want <= set(leaves), (str(spec), kind)
-                checked += 1
+            want = brute_normalizer_tuples(ambient_tuples, H.carrier.element_tuples())
+            assert normalizer(G, H).carrier.element_tuples() == want, (str(spec), "normalizer")
+            want = {g.images for g in brute_centralizer(ambient, set(H.generators))}
+            assert centralizer(G, H).carrier.element_tuples() == want, (str(spec), "centralizer")
+            checked += 2
     assert checked >= 2 * len(specs)
+    assert streamed >= len(extra)
+
+
+def test_sylow_normalizer_search_conjugates_a_tenth_of_the_group_at_most(monkeypatch):
+    # the subgroup search walks only below base images that the normalizer
+    # found so far does not reach, so on these Sylow subgroups, whose orbits
+    # all have one size and defeat the orbit-map prune, it tests far fewer
+    # elements than the group holds
+    from normlab.structure import sylow_subgroup
+
+    calls = []
+
+    def counting(h, g):
+        calls.append(None)
+        return conjugate_tuple(h, g)
+
+    for name, p in (("PSL2:31", 2), ("PSL2:29", 5)):
+        G, _ = build(parse_spec(name))
+        P = sylow_subgroup(G, p)
+        del calls[:]
+        with monkeypatch.context() as patched:
+            patched.setattr(subgroups_module, "conjugate_tuple", counting)
+            N = normalizer(G, P)
+        assert len(calls) < G.order() // 10, (name, len(calls))
+        ambient_tuples = {g.images for g in mulclose(list(G.generators), G.degree)}
+        want = brute_normalizer_tuples(ambient_tuples, P.carrier.element_tuples())
+        assert N.carrier.element_tuples() == want, name
 
 
 def test_normalizer_contains_subgroup_and_normality():
