@@ -99,17 +99,14 @@ def _emit(
     succeeded."""
     payload = json.dumps(doc, indent=2, sort_keys=False)
     print(payload if fmt == "json" else human_text, end="")
-    try:
-        if out_path:
-            try:
-                with open(out_path, "w", encoding="utf-8") as fh:
-                    fh.write(payload + "\n")
-            except OSError as exc:
-                raise InvalidParameter(f"cannot write report to {out_path!r}: {type(exc).__name__}") from None
-            if fmt != "json":
-                print(written_note, end="")
-    finally:
-        print()
+    if out_path:
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            print()
+            raise InvalidParameter(f"cannot write report to {out_path!r}: {type(exc).__name__}") from None
+    print(written_note if out_path and fmt != "json" else "")
 
 
 def _exit_code_for(reports: list[VerdictReport]) -> int:
