@@ -164,6 +164,10 @@ class StabilizerChain:
     def contains(self, p: Images) -> bool:
         return _sift_from(self.levels, p, 0)[0] == self.ident
 
+    def strong_generators(self) -> list[Images]:
+        """Every strong generator: level 0's generators hold them all."""
+        return list(self.levels[0].gens) if self.levels else []
+
     def stabilizer_generators(self) -> list[Images]:
         """Generators of the stabilizer of the first base point."""
         if len(self.levels) < 2:

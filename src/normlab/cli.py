@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import cache
 
 from . import __version__
 from .catalog import build, default_sweep, parse_spec, select_subgroup
@@ -263,7 +264,9 @@ def cmd_scan(args, argv: list[str]) -> int:
 # -- argument parsing --------------------------------------------------------------
 
 
+@cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it as it was)."""
     parser = argparse.ArgumentParser(
         prog="normlab",
         description="Finite-group computation engine and theorem verification lab",

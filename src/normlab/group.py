@@ -1,9 +1,9 @@
-"""Permutation groups backed by a lazily built stabilizer chain.
+"""Permutation groups backed by a stabilizer chain.
 
-A Group is immutable once constructed; the chain is built on first demand
-under a lock, so first use from concurrent workers is safe. Derived data
-(the sorted element list and its set, structural subgroups) is memoized on
-the instance.
+A Group is immutable once constructed; its chain is built on first demand
+under a lock, so first use from concurrent workers is safe, unless
+``Group.from_chain`` hands it a chain already known. Derived data (the
+sorted element list and its set, structural subgroups) is memoized.
 """
 
 from __future__ import annotations
@@ -49,6 +49,13 @@ class Group:
         """The group generated by the given image tuples of this degree."""
         group = cls(degree, ())
         group.generator_tuples = tuple(gens)
+        return group
+
+    @classmethod
+    def from_chain(cls, chain: StabilizerChain, gens: Iterable[tuple[int, ...]]) -> Group:
+        """The group generated by ``gens``, whose stabilizer chain is ``chain``."""
+        group = cls.from_generator_tuples(chain.degree, gens)
+        group._chain = chain
         return group
 
     # -- chain plumbing ----------------------------------------------------

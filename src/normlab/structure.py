@@ -35,13 +35,13 @@ from .perm import (
 from .subgroups import (
     Subgroup,
     _check_ambient,
-    _normalizer_chain,
     _same_group,
     core,
     enumerate_subgroups,
     is_normal,
     join,
     normal_closure,
+    normalizer,
     trivial_subgroup,
     whole,
 )
@@ -181,22 +181,20 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
 
     Grows a p-subgroup P, from the trivial one, by locating an element of
     its normalizer whose p-part falls outside P and adjoining a suitable
-    power, until the full p-part is reached; each round reads the ascending
-    walk of N_G(P)'s chain, from the subgroup search, only up to its first
-    such element.
+    power (extending P's chain), until the full p-part is reached. Each round
+    reads N_G(P)'s sorted element stream, the lazy walk of its chain, only
+    up to its first such element, so no element set of N_G(P) is built.
     """
     if not is_prime(p):
         raise InvalidPrime(f"{p} is not prime")
 
     def compute():
         target = p_part(G.order(), p)
-        P = Group.from_element_tuples(G.degree, [identity_tuple(G.degree)])  # needs no chain
+        P = trivial_group(G.degree)
         for _ in range(p_valuation(target, p) + 1):
             if P.order() == target:
                 return Subgroup(G, P)
-            P_sub = Subgroup(G, P)
-            normal = P.order() == 1 or is_normal(G, P_sub)
-            for y in G.sorted_element_stream() if normal else _normalizer_chain(G, P_sub).walk():
+            for y in normalizer(G, Subgroup(G, P)).carrier.sorted_element_stream():
                 m = order_of_tuple(y)
                 if m % p == 0:
                     z = power_tuple(y, m // p_part(m, p))
@@ -207,7 +205,7 @@ def sylow_subgroup(G: Group, p: int) -> Subgroup:
             # the seed keeps its whole p-part; later z are reduced until z^p lands in P
             while P.order() > 1 and not P.contains_tuple(power_tuple(z, p)):
                 z = power_tuple(z, p)
-            P = Group.from_generator_tuples(G.degree, P.generator_tuples + (z,))
+            P = Group.from_chain(P.chain.extended([z]), P.generator_tuples + (z,))
         raise InvariantViolated("Sylow growth failed to terminate")
 
     return G.cached(("sylow", p), compute)

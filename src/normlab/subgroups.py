@@ -5,7 +5,9 @@ full subgroup enumeration, minimal normal subgroups, and simplicity.
 Centralizers and normalizers are subgroup searches over the stabilizer
 chain: seeded with a known subgroup, they walk (``StabilizerChain.walk``)
 only the subtrees below base images that the subgroup found so far does not
-yet reach. All functions are pure over immutable inputs.
+yet reach. Their results, and those of ``normal_closure`` and ``join``,
+keep the chain they were found on (``Group.from_chain``). All functions are
+pure over immutable inputs.
 """
 
 from __future__ import annotations
@@ -125,13 +127,14 @@ def fingerprint(S: Subgroup) -> str:
 
 
 def join(ambient: Group, A: Subgroup, B: Subgroup) -> Subgroup:
-    """Subgroup generated by the union of the two generator sets."""
+    """Subgroup generated by both generator sets: A's chain extended by B's."""
     _check_ambient(ambient, A, B)
     gens = list(A.carrier.generator_tuples)
     for g in B.carrier.generator_tuples:
         if g not in gens:
             gens.append(g)
-    return Subgroup(ambient, Group.from_generator_tuples(ambient.degree, gens))
+    chain = A.carrier.chain.extended(B.carrier.generator_tuples)
+    return Subgroup(ambient, Group.from_chain(chain, gens))
 
 
 def intersection(ambient: Group, A: Subgroup, B: Subgroup) -> Subgroup:
@@ -169,13 +172,9 @@ def normal_closure(ambient: Group, A: Subgroup) -> Subgroup:
         gens.append(h)
         chain = chain.extended([h])
         queue.extend(conjugate_tuple(h, g) for g in ambient.generator_tuples)
-    if not gens:
-        return trivial_subgroup(ambient)
     if chain.order() == ambient.order():
         return whole(ambient)
-    carrier = Group.from_generator_tuples(ambient.degree, gens)
-    carrier._chain = chain
-    return Subgroup(ambient, carrier)
+    return Subgroup(ambient, Group.from_chain(chain, gens))
 
 
 def core(ambient: Group, H: Subgroup) -> Subgroup:
@@ -197,8 +196,8 @@ def core(ambient: Group, H: Subgroup) -> Subgroup:
 def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
     """Elements of the ambient group commuting with every element of A, by a
     subgroup search over the stabilizer chain seeded with the generators of
-    A that commute with all of A; the result is built as an element set, so
-    the ambient order stays under the enumeration bound."""
+    A that commute with all of A. The result is the search's chain with its
+    strong generators; the ambient order stays under the enumeration bound."""
     _check_ambient(ambient, A)
     ident = identity_tuple(ambient.degree)
     targets = [g for g in A.carrier.generator_tuples if g != ident]
@@ -232,7 +231,7 @@ def centralizer(ambient: Group, A: Subgroup) -> Subgroup:
         before = set(assigned)
     seed = build_chain(ambient.degree, [h for h in targets if commutes(h)])
     cent = _subgroup_search(chain, seed, targets, commutes, checks)
-    return Subgroup(ambient, Group.from_element_tuples(ambient.degree, cent.iter_elements()))
+    return Subgroup(ambient, Group.from_chain(cent, cent.strong_generators()))
 
 
 def center(G: Group) -> Subgroup:
@@ -259,44 +258,30 @@ def is_normal(ambient: Group, H: Subgroup) -> bool:
 
 
 def normalizer(ambient: Group, H: Subgroup) -> Subgroup:
-    """The set of ambient elements g with H^g == H, by a subgroup search
-    over the stabilizer chain, memoized on the ambient group by H's element
-    set."""
+    """The ambient elements g with H^g == H, memoized on the ambient group by
+    H's element set: the subgroup search seeded with H's chain, whose result
+    keeps the chain it found, so its sorted element stream is a lazy walk."""
     _check_ambient(ambient, H)
     if H.order() == 1 or is_normal(ambient, H):
         return whole(ambient)
-    _check_normalizer_bound(ambient)  # the bound holds for a memoized H too
-    return ambient.cached(
-        ("normalizer", H.carrier.element_tuples()),
-        lambda: Subgroup(
-            ambient,
-            Group.from_element_tuples(ambient.degree, _normalizer_chain(ambient, H).iter_elements()),
-        ),
-    )
-
-
-def _check_normalizer_bound(ambient: Group) -> None:
     bound = get_limits().enum_bound
-    if ambient.order() > bound:
+    if ambient.order() > bound:  # checked for a memoized H too
         raise OrderTooLarge(
             f"normalizer search: group order {ambient.order()} exceeds bound {bound}"
         )
-
-
-def _normalizer_chain(ambient: Group, H: Subgroup) -> StabilizerChain:
-    """A stabilizer chain of N(H), whose walk lists N(H)'s elements in
-    ascending order for a reader that may stop at its first hit: the subgroup
-    search seeded with H, keeping the elements that conjugate every
-    generator of H into H."""
-    _check_normalizer_bound(ambient)
-    chain = ambient.chain
-    h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
     H_set = H.carrier.element_tuples()
 
-    def normalizes(m: tuple[int, ...]) -> bool:
-        return all(conjugate_tuple(h, m) in H_set for h in h_gens)
+    def search() -> Subgroup:
+        chain = ambient.chain
+        h_gens = [g for g in H.carrier.generator_tuples if g != chain.ident]
 
-    return _subgroup_search(chain, H.carrier.chain, h_gens, normalizes)
+        def normalizes(m: tuple[int, ...]) -> bool:
+            return all(conjugate_tuple(h, m) in H_set for h in h_gens)
+
+        found = _subgroup_search(chain, H.carrier.chain, h_gens, normalizes)
+        return Subgroup(ambient, Group.from_chain(found, found.strong_generators()))
+
+    return ambient.cached(("normalizer", H_set), search)
 
 
 def _subgroup_search(

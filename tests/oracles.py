@@ -304,8 +304,8 @@ def brute_core(ambient: set[Perm], H: set[Perm]) -> set[Perm]:
 
 
 def brute_normal_closure(ambient: set[Perm], gens: list[Perm], degree: int) -> set[Perm]:
-    conjugates = [conj(h, g) for h in gens for g in ambient]
-    return mulclose(conjugates, degree) if conjugates else mulclose([], degree)
+    conjugates = list({conj(h, g) for h in gens for g in ambient})
+    return mulclose(conjugates, degree)
 
 
 def quotient_by_coset_bfs(G: Group, N: Subgroup):

